@@ -14,7 +14,7 @@ import numpy as np
 
 from impulsebvp import (BoundaryData, ImpulseMap, ImpulseSchedule,
                         ImpulsiveCoupledBVP, QuadratureConfig, RhsFunction,
-                        apply_T1, initial_pair)
+                        apply_T, initial_pair)
 
 ZERO = RhsFunction(lambda t, x, y, z, w: np.zeros_like(t), name="zero")
 
@@ -32,7 +32,8 @@ qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.01)
 
 print("1) representation oracle, f = e^-s:")
 p = problem(f=RhsFunction(lambda t, x, y, z, w: np.exp(-t), name="exp_decay"))
-out, report = apply_T1(p, initial_pair(p, qc, "zero"), qc)
+image, report = apply_T(p, initial_pair(p, qc, "zero"), qc)
+out = image.u
 t = out.mesh.nodes
 print(f"   sup |T1 - (-1 + e^-t)| = {np.max(np.abs(out.values - (-1 + np.exp(-t)))):.3e}")
 print(f"   integral tail estimate   {report.integral_tail_estimate:.3e}")
@@ -42,7 +43,7 @@ d = 0.7
 p = problem(points=(1.0,),
             I1=ImpulseMap(lambda pp, a, b: np.full_like(pp, d), name="const"))
 qc10 = QuadratureConfig(horizon=10.0, mesh_spacing=0.05)
-out, _ = apply_T1(p, initial_pair(p, qc10, "zero"), qc10)
+out = apply_T(p, initial_pair(p, qc10, "zero"), qc10)[0].u
 for tt in (0.5, 1.0, 1.5, 3.0, 10.0):
     print(f"   T1({tt:5.2f}) = {out(tt):+8.4f}   T1'({tt:5.2f}) = {out.deriv(tt):+8.4f}")
 print(f"   jump registry: {out.jump_registry}")
@@ -54,7 +55,7 @@ p = problem(f=RhsFunction(lambda t, x, y, z, w: np.exp(-t) * np.sin(x), "f"),
             I1=ImpulseMap(lambda pp, a, b: -0.1 * a + 0.3 * b, "lin"))
 qc20 = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
 s = initial_pair(p, qc20, "affine_boundary")
-out, _ = apply_T1(p, s, qc20)
+out = apply_T(p, s, qc20)[0].u
 pts = np.asarray([j[0] for j in out.jump_registry])
 a, b = s.u.left_limits_at(pts)
 want0 = 0.2 * a + 0.1 * b

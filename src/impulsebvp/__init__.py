@@ -22,8 +22,8 @@ from .manufactured import manufactured_problem
 from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
                     ImpulsiveCoupledBVP, RhsFunction, ValidationReport,
                     validate_problem)
-from .operator import (EvaluationError, QuadratureConfig, TruncationReport,
-                       apply_T, apply_T1, impulse_sums, problem_meshes,
+from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
+                       TruncationReport, apply_T, impulse_sums, problem_meshes,
                        semiinfinite_integral)
 from .pendulum import (PendulumParams, build_pendulum_problem,
                        pendulum_bound_Phi, pendulum_bound_Psi)
@@ -36,10 +36,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryData", "CaratheodoryBounds", "EvaluationError",
     "HypothesisReport", "ImpulseMap", "ImpulseSchedule",
-    "ImpulsiveCoupledBVP", "Mesh", "PendulumParams", "PiecewiseC1Function",
-    "QuadratureConfig", "ResidualReport", "RhsFunction", "SolutionPair",
+    "ImpulsiveCoupledBVP", "Mesh", "OperatorPlan", "PendulumParams",
+    "PiecewiseC1Function", "QuadratureConfig", "ResidualReport",
+    "RhsFunction", "SolutionPair",
     "SolveDiagnostics", "SolverConfig", "TruncationReport",
-    "ValidationReport", "apply_T", "apply_T1", "apply_jump",
+    "ValidationReport", "apply_T", "apply_jump",
     "boundary_weight_sup", "build_mesh", "build_pendulum_problem",
     "check_ball_invariance", "check_domination", "check_impulse_bounds",
     "compute_rho2", "compute_rho2_entries", "constant_fn", "difference_norm",

@@ -28,7 +28,7 @@ import numpy as np
 from .fnspace import PiecewiseC1Function, SolutionPair, norm_X
 from .kernel import boundary_weight_sup, kernel_weight_sup
 from .model import ImpulsiveCoupledBVP
-from .operator import (QuadratureConfig, _gauss_panels, apply_T,
+from .operator import (OperatorPlan, QuadratureConfig, _gauss_panels, apply_T,
                        problem_meshes)
 
 __all__ = [
@@ -364,13 +364,15 @@ def _floored_component(mesh, rng, floor, radius):
 
 
 def sample_ball_pair(p: ImpulsiveCoupledBVP, qc: QuadratureConfig, radius,
-                     rng, u_floor=None) -> SolutionPair:
+                     rng, u_floor=None, meshes=None) -> SolutionPair:
     """Draw a random pair with ||(u,v)||_X <= radius on the problem meshes.
 
     Components are smooth random Hermite data rescaled into the ball; with
     ``u_floor`` the first component additionally stays >= u_floor.
+    ``meshes`` is the (u, v) mesh pair of ``problem_meshes(p, qc)`` when
+    the caller already has it.
     """
-    mu, mv = problem_meshes(p, qc)
+    mu, mv = problem_meshes(p, qc) if meshes is None else meshes
     if u_floor is not None:
         u = _floored_component(mu, rng, u_floor, radius)
     else:
@@ -395,11 +397,13 @@ def check_ball_invariance(p: ImpulsiveCoupledBVP, b: Optional[CaratheodoryBounds
     rng = np.random.default_rng(seed)
     radius = rho2 if sample_radius is None else sample_radius
     floor = b.u_floor if b is not None else None
+    meshes = problem_meshes(p, qc)
+    plan = OperatorPlan.build(p, qc, *meshes)
     inside = 0
     tested = 0
     for _ in range(samples):
-        s = sample_ball_pair(p, qc, radius, rng, u_floor=floor)
-        image, _ = apply_T(p, s, qc)
+        s = sample_ball_pair(p, qc, radius, rng, u_floor=floor, meshes=meshes)
+        image, _ = apply_T(p, s, qc, plan)
         tested += 1
         if norm_X(image) <= rho2 * (1.0 + _REL_SLACK):
             inside += 1

@@ -68,7 +68,8 @@ class Mesh:
     def impulse_slots(self, p):
         """Return (left_slot, right_slot) of the doubled node at time p."""
         idx = np.searchsorted(self.grid, p)
-        if idx >= self.grid.size or self.grid[idx] != p or p not in self.impulse_times:
+        if (idx >= self.grid.size or self.grid[idx] != p
+                or self.left_slot[idx] == self.right_slot[idx]):
             raise ValueError(f"{p} is not an impulse node of this mesh")
         return int(self.left_slot[idx]), int(self.right_slot[idx])
 

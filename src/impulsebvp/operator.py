@@ -20,9 +20,17 @@ slot is literally left slot + jump), never through quadrature.  Impulse
 times at or below the working-domain start t0 have no representable left
 side and are excluded from all sums.
 
+Everything that depends only on the problem, the quadrature config and the
+two meshes lives in an :class:`OperatorPlan`: the panel boundaries, Gauss
+points and weights, where each Gauss point falls on each mesh, and the slot
+bookkeeping of the assembly.  ``solve`` and the ball-invariance audit build
+one plan and pass it to every :func:`apply_T` call; without a plan,
+``apply_T`` builds one for the call.  One Hermite pass per mesh gives
+u, v, u', v' at the Gauss points for both f and h.
+
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
-fixed configuration.
+fixed configuration, with or without a plan.
 """
 
 import math
@@ -32,14 +40,15 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fnspace import PiecewiseC1Function, SolutionPair, build_mesh
+from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, build_mesh,
+                      norm_X)
 from .model import ImpulsiveCoupledBVP
 
 __all__ = [
     "QuadratureConfig",
     "TruncationReport",
     "EvaluationError",
-    "apply_T1",
+    "OperatorPlan",
     "apply_T",
     "semiinfinite_integral",
     "impulse_sums",
@@ -139,28 +148,13 @@ def _gauss_panels(breaks, order):
 def _refined_boundaries(grid, hard, panels_per_piece):
     """Panel boundaries: the given grid, with every piece between hard
     breakpoints holding at least ``panels_per_piece`` panels."""
-    pieces = np.concatenate(([grid[0]], hard, [grid[-1]]))
-    pieces = np.unique(pieces)
-    out = grid
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        inside = np.count_nonzero((out > a) & (out < b))
-        if inside + 1 < panels_per_piece:
-            out = np.union1d(out, np.linspace(a, b, panels_per_piece + 1))
-    return out
-
-
-def _rhs_values(rhs, spts, s: SolutionPair):
-    flat = spts.ravel()
-    U = s.u(flat)
-    V = s.v(flat)
-    dU = s.u.deriv(flat)
-    dV = s.v.deriv(flat)
-    vals = rhs(flat, U, V, dU, dV)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise EvaluationError(rhs.name, flat[i], (U[i], V[i], dU[i], dV[i]))
-    return vals.reshape(spts.shape)
+    pieces = np.unique(np.concatenate(([grid[0]], hard, [grid[-1]])))
+    a, b = pieces[:-1], pieces[1:]
+    inside = (np.searchsorted(grid, b, side="left")
+              - np.searchsorted(grid, a, side="right"))
+    short = inside + 1 < panels_per_piece
+    extra = np.linspace(a[short], b[short], panels_per_piece + 1)
+    return np.union1d(grid, extra.ravel())
 
 
 def _geometric_tail(chunks):
@@ -174,15 +168,18 @@ def _geometric_tail(chunks):
     return last * r / (1.0 - r)
 
 
-def _integral_tail(q, rhs_side, bounds, moments, boundaries, horizon):
-    """(estimate, is_bound, warn) for the integral tail past the horizon."""
+def _integral_tail(q, rhs_side, bounds, moments, boundaries, horizon, in_ball):
+    """(estimate, is_bound, warn) for the integral tail past the horizon.
+
+    ``in_ball`` says whether the iterate lies in the ``bound_rho``-ball, the
+    only place where the problem's Caratheodory tails bound anything."""
     fn = q.tail_bound_fn if rhs_side == "f" else q.tail_bound_fn_h
     if fn is not None:
         return float(fn(horizon)), True, False
     if q.bound_rho is not None and bounds is not None:
         tail = bounds.tail_integral_f if rhs_side == "f" else bounds.tail_integral_h
         if tail is not None:
-            return float(tail(q.bound_rho, horizon)), True, False
+            return float(tail(q.bound_rho, horizon)), in_ball, False
     # decay heuristic on |panel mass| over the last two quarters of the range
     t0 = boundaries[0]
     mids = 0.5 * (boundaries[1:] + boundaries[:-1])
@@ -195,7 +192,7 @@ def _integral_tail(q, rhs_side, bounds, moments, boundaries, horizon):
     return est, False, bool(est > q.abs_tol)
 
 
-def _impulse_tail(q, bounds, schedule, seq_names, c_abs, horizon):
+def _impulse_tail(q, bounds, schedule, seq_names, c_abs, horizon, in_ball):
     """(estimate, is_bound) for the impulse sums cut at the horizon."""
     if schedule.points is not None:
         pts = np.asarray(schedule.points, dtype=float)
@@ -206,7 +203,8 @@ def _impulse_tail(q, bounds, schedule, seq_names, c_abs, horizon):
         tail1 = getattr(bounds, seq_names[1])
         if tail0 is not None and tail1 is not None:
             K = c_abs[0].size
-            return (float(tail0(q.bound_rho, K)) + 2.0 * float(tail1(q.bound_rho, K))), True
+            return (float(tail0(q.bound_rho, K))
+                    + 2.0 * float(tail1(q.bound_rho, K))), in_ball
     # decay heuristic on the evaluated jump magnitudes
     est = 0.0
     for c, weight in zip(c_abs, (1.0, 2.0)):
@@ -217,13 +215,159 @@ def _impulse_tail(q, bounds, schedule, seq_names, c_abs, horizon):
     return est, False
 
 
-def _component_apply(A, B, sched_pts, m0_map, m1_map, x_self, out_mesh,
-                     boundaries, C0, C1, total0):
+def _check_mesh_matches(mesh, sched, p, q, which):
+    pts = sched.points_between(p.t0, q.horizon)
+    if not np.array_equal(mesh.impulse_times, pts):
+        raise ValueError(
+            f"{which}-mesh impulse nodes do not match the schedule inside "
+            f"(t0, horizon); rebuild the iterate with problem_meshes()")
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
+class _MeshPlan:
+    """What one component's mesh contributes to the operator, per problem.
+
+    ``interval[i]`` is the grid interval holding Gauss point i
+    (grid[j] < s < grid[j+1]); the few points that coincide with a grid
+    node are listed in ``on_node`` and read ``node_slot`` (the left slot,
+    by the left-continuity convention).  ``lo``/``hi`` are the left and
+    right slots of the impulse nodes, in schedule order.
+    """
+
+    mesh: Mesh
+    sched_pts: np.ndarray
+    interval: np.ndarray
+    on_node: np.ndarray
+    node_slot: np.ndarray
+    gidx: np.ndarray
+    slot_to_grid: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cnt: np.ndarray
+
+    @staticmethod
+    def build(mesh, sched_pts, boundaries, flat):
+        grid = mesh.grid
+        pos = np.searchsorted(grid, flat, side="left")
+        on_node = np.flatnonzero(grid[np.minimum(pos, grid.size - 1)] == flat)
+        gr = np.arange(grid.size)
+        slot_to_grid = np.empty(mesh.n_slots, dtype=int)
+        slot_to_grid[mesh.left_slot] = gr
+        slot_to_grid[mesh.right_slot] = gr
+        knot = np.searchsorted(grid, sched_pts)
+        lo = mesh.left_slot[knot]
+        hi = mesh.right_slot[knot]
+        cnt = np.searchsorted(sched_pts, mesh.nodes, side="left")
+        cnt[hi] += 1
+        return _MeshPlan(
+            mesh=mesh, sched_pts=sched_pts,
+            interval=np.maximum(pos - 1, 0).astype(np.int32),
+            on_node=on_node, node_slot=mesh.left_slot[pos[on_node]],
+            gidx=np.searchsorted(boundaries, grid), slot_to_grid=slot_to_grid,
+            lo=lo, hi=hi, cnt=cnt)
+
+    def interpolate(self, x: PiecewiseC1Function, flat):
+        """x and x' at the Gauss points ``flat``, bit for bit as
+        ``x(flat)`` and ``x.deriv(flat)`` compute them."""
+        grid = self.mesh.grid
+        j = self.interval
+        s_lo = self.mesh.right_slot[j]
+        s_hi = self.mesh.left_slot[j + 1]
+        x0 = grid[j]
+        h = grid[j + 1] - x0
+        u = (flat - x0) / h
+        v0, v1 = x.values[s_lo], x.values[s_hi]
+        d0, d1 = x.derivs[s_lo], x.derivs[s_hi]
+        u2 = u * u
+        u3 = u2 * u
+        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
+        h10 = u3 - 2.0 * u2 + u
+        h01 = -2.0 * u3 + 3.0 * u2
+        h11 = u3 - u2
+        val = h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
+        der = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
+               + (3.0 * u2 - 4.0 * u + 1.0) * d0
+               + (3.0 * u2 - 2.0 * u) * d1)
+        val[self.on_node] = x.values[self.node_slot]
+        der[self.on_node] = x.derivs[self.node_slot]
+        return val, der
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorPlan:
+    """Everything :func:`apply_T` needs that depends only on the problem,
+    the quadrature config and the two meshes, built once and reused for
+    every iterate on those meshes.
+
+    Holds the panel boundaries (the union of both grids, refined so every
+    piece between impulse times has ``panels_per_piece`` panels), the
+    Gauss points and weights, and per component a :class:`_MeshPlan`
+    with the schedule points, the Gauss-point locations and the slot
+    bookkeeping of the assembly.
+    """
+
+    problem: ImpulsiveCoupledBVP
+    config: QuadratureConfig
+    boundaries: np.ndarray
+    spts: np.ndarray
+    wts: np.ndarray
+    u: _MeshPlan
+    v: _MeshPlan
+
+    @staticmethod
+    def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig, u_mesh: Mesh,
+              v_mesh: Mesh) -> "OperatorPlan":
+        """Plan for iterates on (u_mesh, v_mesh); the meshes must carry the
+        schedules' nodes inside (t0, horizon), as problem_meshes() builds."""
+        pts_u = _check_mesh_matches(u_mesh, p.u_schedule, p, q, "u")
+        pts_v = _check_mesh_matches(v_mesh, p.v_schedule, p, q, "v")
+        if u_mesh.horizon != q.horizon:
+            raise ValueError("iterate horizon does not match the quadrature config")
+        hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
+        boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid),
+                                         hard, q.panels_per_piece)
+        spts, wts = _gauss_panels(boundaries, q.gauss_order)
+        flat = spts.ravel()
+        return OperatorPlan(
+            problem=p, config=q, boundaries=boundaries, spts=spts, wts=wts,
+            u=_MeshPlan.build(u_mesh, pts_u, boundaries, flat),
+            v=_MeshPlan.build(v_mesh, pts_v, boundaries, flat))
+
+    def check(self, p, q, s: SolutionPair):
+        """Raise ValueError unless the plan fits (p, q) and s's meshes."""
+        if self.problem is not p or self.config != q:
+            raise ValueError("operator plan was built for another problem or config")
+        if not (s.u.mesh.same_layout(self.u.mesh)
+                and s.v.mesh.same_layout(self.v.mesh)):
+            raise ValueError("iterate meshes differ from the operator plan's; "
+                             "rebuild the iterate with problem_meshes()")
+
+
+def _rhs_values(rhs, spts, U, V, dU, dV):
+    flat = spts.ravel()
+    vals = rhs(flat, U, V, dU, dV)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0])
+        raise EvaluationError(rhs.name, flat[i], (U[i], V[i], dU[i], dV[i]))
+    return vals.reshape(spts.shape)
+
+
+def _moments(spts, wts, rvals):
+    m0 = (wts * rvals).sum(axis=1)
+    m1 = (wts * spts * rvals).sum(axis=1)
+    C0 = np.concatenate(([0.0], np.cumsum(m0)))
+    C1 = np.concatenate(([0.0], np.cumsum(m1)))
+    return m0, C0, C1
+
+
+def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
     """Assemble one operator component on its output mesh."""
-    nodes = out_mesh.nodes
-    K = sched_pts.size
-    if K:
-        a_left, b_left = x_self.left_limits_at(sched_pts)
+    nodes = mp.mesh.nodes
+    sched_pts = mp.sched_pts
+    if sched_pts.size:
+        a_left, b_left = x_self.values[mp.lo], x_self.derivs[mp.lo]
         c0 = np.atleast_1d(m0_map(sched_pts, a_left, b_left)).astype(float)
         c1 = np.atleast_1d(m1_map(sched_pts, a_left, b_left)).astype(float)
         bad = ~(np.isfinite(c0) & np.isfinite(c1))
@@ -238,125 +382,72 @@ def _component_apply(A, B, sched_pts, m0_map, m1_map, x_self, out_mesh,
     prefix1 = np.concatenate(([0.0], np.cumsum(c1)))
     prefix1p = np.concatenate(([0.0], np.cumsum(c1 * sched_pts)))
     S1 = prefix1[-1]
+    total0 = C0[-1]
 
-    gidx = np.searchsorted(boundaries, out_mesh.grid)
-    ival_grid = -(C1[gidx] + out_mesh.grid * (total0 - C0[gidx]))
+    grid = mp.mesh.grid
+    gidx = mp.gidx
+    ival_grid = -(C1[gidx] + grid * (total0 - C0[gidx]))
     ider_grid = -(total0 - C0[gidx])
 
-    slot_to_grid = np.empty(out_mesh.n_slots, dtype=int)
-    gr = np.arange(out_mesh.grid.size)
-    slot_to_grid[out_mesh.left_slot] = gr
-    slot_to_grid[out_mesh.right_slot] = gr
-
-    cnt = np.searchsorted(sched_pts, nodes, side="left")
-    right_slots = np.asarray(
-        [out_mesh.impulse_slots(pp)[1] for pp in out_mesh.impulse_times], dtype=int)
-    if right_slots.size:
-        cnt[right_slots] += 1
-
+    cnt = mp.cnt
     pulse_val = prefix0[cnt] + nodes * prefix1[cnt] - prefix1p[cnt]
     pulse_der = prefix1[cnt]
 
-    values = A + B * nodes + pulse_val - nodes * S1 + ival_grid[slot_to_grid]
-    derivs = B + pulse_der - S1 + ider_grid[slot_to_grid]
+    values = A + B * nodes + pulse_val - nodes * S1 + ival_grid[mp.slot_to_grid]
+    derivs = B + pulse_der - S1 + ider_grid[mp.slot_to_grid]
 
     # insert the jumps algebraically: right slot = left slot + jump, exactly
-    for k, pp in enumerate(out_mesh.impulse_times):
-        lo, hi = out_mesh.impulse_slots(pp)
-        values[hi] = values[lo] + c0[k]
-        derivs[hi] = derivs[lo] + c1[k]
+    values[mp.hi] = values[mp.lo] + c0
+    derivs[mp.hi] = derivs[mp.lo] + c1
 
-    out = PiecewiseC1Function(mesh=out_mesh, values=values, derivs=derivs,
+    out = PiecewiseC1Function(mesh=mp.mesh, values=values, derivs=derivs,
                               tail_slope=float(B))
     return out, c0, c1
 
 
-def _panel_setup(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig):
-    if s.u.mesh.horizon != q.horizon:
-        raise ValueError("iterate horizon does not match the quadrature config")
-    hard = np.union1d(s.u.mesh.impulse_times, s.v.mesh.impulse_times)
-    boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
-    boundaries = _refined_boundaries(boundaries, hard, q.panels_per_piece)
-    spts, wts = _gauss_panels(boundaries, q.gauss_order)
-    return boundaries, spts, wts
+def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
+            plan: Optional[OperatorPlan] = None):
+    """Both components on shared quadrature panels; reports are merged.
 
+    ``plan`` is an :class:`OperatorPlan` built for (p, q) and s's meshes;
+    without one, a plan is built from s's meshes for this call alone.
+    """
+    if plan is None:
+        plan = OperatorPlan.build(p, q, s.u.mesh, s.v.mesh)
+    else:
+        plan.check(p, q, s)
+    boundaries, spts, wts = plan.boundaries, plan.spts, plan.wts
+    flat = spts.ravel()
+    U, dU = plan.u.interpolate(s.u, flat)
+    V, dV = plan.v.interpolate(s.v, flat)
 
-def _moments(boundaries, spts, wts, rvals):
-    m0 = (wts * rvals).sum(axis=1)
-    m1 = (wts * spts * rvals).sum(axis=1)
-    C0 = np.concatenate(([0.0], np.cumsum(m0)))
-    C1 = np.concatenate(([0.0], np.cumsum(m1)))
-    return m0, C0, C1
+    fvals = _rhs_values(p.f, spts, U, V, dU, dV)
+    m0f, C0f, C1f = _moments(spts, wts, fvals)
+    out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
+                                       s.u, plan.u, C0f, C1f)
 
+    hvals = _rhs_values(p.h, spts, U, V, dU, dV)
+    m0h, C0h, C1h = _moments(spts, wts, hvals)
+    out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
+                                       s.v, plan.v, C0h, C1h)
 
-def _check_mesh_matches(mesh, sched, p, q, which):
-    pts = sched.points_between(p.t0, q.horizon)
-    if not np.array_equal(mesh.impulse_times, pts):
-        raise ValueError(
-            f"{which}-mesh impulse nodes do not match the schedule inside "
-            f"(t0, horizon); rebuild the iterate with problem_meshes()")
-
-
-def apply_T1(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig):
-    """First operator component; returns (function, TruncationReport)."""
-    _check_mesh_matches(s.u.mesh, p.u_schedule, p, q, "u")
-    boundaries, spts, wts = _panel_setup(p, s, q)
-    rvals = _rhs_values(p.f, spts, s)
-    m0, C0, C1 = _moments(boundaries, spts, wts, rvals)
-    pts = p.u_schedule.points_between(p.t0, q.horizon)
-    out, c0, c1 = _component_apply(p.boundary.A1, p.boundary.B1, pts, p.I0, p.I1,
-                                   s.u, s.u.mesh, boundaries, C0, C1, C0[-1])
-    int_tail, int_is_bound, warn = _integral_tail(q, "f", p.bounds, m0,
-                                                  boundaries, q.horizon)
-    imp_tail, imp_is_bound = _impulse_tail(q, p.bounds, p.u_schedule,
-                                           ("seq_tail_phi", "seq_tail_psi"),
-                                           (np.abs(c0), np.abs(c1)), q.horizon)
-    report = TruncationReport(
-        integral_tail_estimate=int_tail,
-        impulse_tail_estimate=imp_tail,
-        K_used=int(pts.size),
-        tails_are_bounds=int_is_bound and imp_is_bound,
-        warn_integral_tail=warn,
-    )
-    return out, report
-
-
-def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig):
-    """Both components on shared quadrature panels; reports are merged."""
-    _check_mesh_matches(s.u.mesh, p.u_schedule, p, q, "u")
-    _check_mesh_matches(s.v.mesh, p.v_schedule, p, q, "v")
-    boundaries, spts, wts = _panel_setup(p, s, q)
-
-    fvals = _rhs_values(p.f, spts, s)
-    m0f, C0f, C1f = _moments(boundaries, spts, wts, fvals)
-    pts_u = p.u_schedule.points_between(p.t0, q.horizon)
-    out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, pts_u,
-                                       p.I0, p.I1, s.u, s.u.mesh,
-                                       boundaries, C0f, C1f, C0f[-1])
-
-    hvals = _rhs_values(p.h, spts, s)
-    m0h, C0h, C1h = _moments(boundaries, spts, wts, hvals)
-    pts_v = p.v_schedule.points_between(p.t0, q.horizon)
-    out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, pts_v,
-                                       p.J0, p.J1, s.v, s.v.mesh,
-                                       boundaries, C0h, C1h, C0h[-1])
-
-    tf, bf, wf = _integral_tail(q, "f", p.bounds, m0f, boundaries, q.horizon)
-    th, bh, wh = _integral_tail(q, "h", p.bounds, m0h, boundaries, q.horizon)
+    in_ball = q.bound_rho is None or norm_X(s) <= q.bound_rho
+    tf, bf, wf = _integral_tail(q, "f", p.bounds, m0f, boundaries, q.horizon, in_ball)
+    th, bh, wh = _integral_tail(q, "h", p.bounds, m0h, boundaries, q.horizon, in_ball)
     iu, ibu = _impulse_tail(q, p.bounds, p.u_schedule,
                             ("seq_tail_phi", "seq_tail_psi"),
-                            (np.abs(c0u), np.abs(c1u)), q.horizon)
+                            (np.abs(c0u), np.abs(c1u)), q.horizon, in_ball)
     iv, ibv = _impulse_tail(q, p.bounds, p.v_schedule,
                             ("seq_tail_phij", "seq_tail_theta"),
-                            (np.abs(c0v), np.abs(c1v)), q.horizon)
+                            (np.abs(c0v), np.abs(c1v)), q.horizon, in_ball)
     report_u = TruncationReport(integral_tail_estimate=tf,
                                 impulse_tail_estimate=iu,
-                                K_used=int(pts_u.size),
+                                K_used=int(plan.u.sched_pts.size),
                                 tails_are_bounds=bf and ibu,
                                 warn_integral_tail=wf)
     report_v = TruncationReport(integral_tail_estimate=th,
                                 impulse_tail_estimate=iv,
-                                K_used=int(pts_v.size),
+                                K_used=int(plan.v.sched_pts.size),
                                 tails_are_bounds=bh and ibv,
                                 warn_integral_tail=wh)
     return SolutionPair(u=out_u, v=out_v), report_u.merged(report_v)

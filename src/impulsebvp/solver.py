@@ -22,8 +22,8 @@ import numpy as np
 
 from .fnspace import (SolutionPair, constant_fn, norm_X, pair_lincomb)
 from .model import ImpulsiveCoupledBVP
-from .operator import (EvaluationError, QuadratureConfig, TruncationReport,
-                       _gauss_panels, apply_T, problem_meshes)
+from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
+                       TruncationReport, _gauss_panels, apply_T, problem_meshes)
 
 __all__ = ["SolverConfig", "SolveDiagnostics", "ResidualReport",
            "solve", "verify_residuals", "initial_pair"]
@@ -169,6 +169,7 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     inside the operator propagate with the iteration index attached.
     """
     s = initial_pair(p, qc, sc.initial_guess)
+    plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
     history = []
     best = None
     best_res = math.inf
@@ -177,7 +178,7 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
 
     for it in range(1, sc.max_iter + 1):
         try:
-            Ts, report = apply_T(p, s, qc)
+            Ts, report = apply_T(p, s, qc, plan)
         except EvaluationError as exc:
             exc.location["iteration"] = it
             raise

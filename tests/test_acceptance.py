@@ -59,7 +59,7 @@ def test_criterion_02_representation_oracle():
                                    name="exp_decay"))
     qc = ib.QuadratureConfig()  # default horizon 40, abs_tol 1e-8
     s0 = ib.initial_pair(p, qc, "zero")
-    out, _ = ib.apply_T1(p, s0, qc)
+    out = ib.apply_T(p, s0, qc)[0].u
     t = out.mesh.nodes
     sup_err = float(np.max(np.abs(out.values - (-1.0 + np.exp(-t)))))
     assert sup_err <= 1e-6
@@ -110,7 +110,8 @@ def test_criterion_04_boundary_identities():
     rng = np.random.default_rng(7)
     for _ in range(20):
         s = ib.sample_ball_pair(p, qc, radius=1.5, rng=rng)
-        out, rep = ib.apply_T1(p, s, qc)
+        image, rep = ib.apply_T(p, s, qc)
+        out = image.u
         assert out.values[0] == A1  # exact
         tail_budget = rep.integral_tail_estimate + rep.impulse_tail_estimate
         assert abs(out.derivs[-1] - B1) <= tail_budget + 1e-15
