@@ -127,42 +127,45 @@ def _write_manifest(out, args, qc=None, sc=None):
 
 
 def _side_rows(pair):
-    """Rows (t, side, u, u', v, v') over the union grid, with -/+ rows at
-    every impulse time of either component."""
+    """Columns (t, side, u, u', v, v') over the union grid, ascending, with a
+    '-' row then a '+' row at every impulse time of either component.
+
+    A component that jumps at a '+' row's time reports its right-slot
+    values there; every other row is the left-continuous evaluation."""
     u, v = pair.u, pair.v
     times = np.union1d(u.mesh.grid, v.mesh.grid)
-    jumps = np.union1d(u.mesh.impulse_times, v.mesh.impulse_times)
-
-    def at(fn, t, side):
-        if side == "+" and np.isin(t, fn.mesh.impulse_times):
-            lo, hi = fn.mesh.impulse_slots(t)
-            return fn.values[hi], fn.derivs[hi]
-        return fn(t), fn.deriv(t)
-
-    rows = []
-    for t in times:
-        sides = ("-", "+") if np.isin(t, jumps) else ("",)
-        for side in sides:
-            eff = "+" if side == "+" else "-"
-            uu, du = at(u, t, eff)
-            vv, dv = at(v, t, eff)
-            rows.append((float(t), side, float(uu), float(du), float(vv), float(dv)))
-    return rows
+    jumps = np.union1d(u.mesh.grid[u.mesh.doubled_nodes()],
+                       v.mesh.grid[v.mesh.doubled_nodes()])
+    reps = 1 + np.isin(times, jumps)
+    first = np.cumsum(reps) - reps  # row of each time's first (or only) row
+    t = np.repeat(times, reps)
+    side = np.full(t.size, "", dtype="<U1")
+    side[first[reps == 2]] = "-"
+    side[first[reps == 2] + 1] = "+"
+    cols = [t, side]
+    for fn in (u, v):
+        val, der = fn(t), fn.deriv(t)
+        d = fn.mesh.doubled_nodes()
+        plus = first[np.searchsorted(times, fn.mesh.grid[d])] + 1
+        val[plus] = fn.values[fn.mesh.right_slot[d]]
+        der[plus] = fn.derivs[fn.mesh.right_slot[d]]
+        cols += [val, der]
+    return cols
 
 
 def _write_solution(out, pair, gnuplot_script=False):
-    rows = _side_rows(pair)
+    t, side, uu, du, vv, dv = (c.tolist() for c in _side_rows(pair))
     with open(out / "solution.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "side", "u", "u_deriv", "v", "v_deriv"])
-        for r in rows:
-            w.writerow([repr(r[0]), r[1], repr(r[2]), repr(r[3]), repr(r[4]), repr(r[5])])
+        w.writerows(zip(map(repr, t), side, map(repr, uu), map(repr, du),
+                        map(repr, vv), map(repr, dv)))
     with open(out / "solution.dat", "w") as fh:
         fh.write("# t u u_deriv v v_deriv\n")
-        for r in rows:
-            if r[1] == "+":
-                fh.write("\n")  # blank line: gnuplot breaks the polyline at jumps
-            fh.write(f"{r[0]:.17g} {r[2]:.17g} {r[3]:.17g} {r[4]:.17g} {r[5]:.17g}\n")
+        # blank line before a '+' row: gnuplot breaks the polyline at jumps
+        line = "{}{:.17g} {:.17g} {:.17g} {:.17g} {:.17g}\n".format
+        fh.writelines(line("\n" if s == "+" else "", a, b, c, d, e)
+                      for a, s, b, c, d, e in zip(t, side, uu, du, vv, dv))
     if gnuplot_script:
         with open(out / "solution.gp", "w") as fh:
             fh.write('set xlabel "t"\n'

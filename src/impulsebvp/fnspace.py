@@ -16,7 +16,6 @@ new instances.
 """
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "fn_lincomb",
     "pair_lincomb",
     "difference_norm",
+    "slot_sides",
     "write_csv",
 ]
 
@@ -65,6 +65,12 @@ class Mesh:
     def n_slots(self) -> int:
         return self.nodes.size
 
+    def doubled_nodes(self):
+        """Grid indices of the doubled nodes, ascending: the grid positions
+        whose ``left_slot`` (left limit) and ``right_slot`` (right limit)
+        differ."""
+        return np.flatnonzero(self.left_slot != self.right_slot)
+
     def impulse_slots(self, p):
         """Return (left_slot, right_slot) of the doubled node at time p."""
         idx = np.searchsorted(self.grid, p)
@@ -93,46 +99,32 @@ def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
         raise ValueError("horizon must exceed t0")
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
-    pts = np.asarray(sorted(p for p in np.atleast_1d(np.asarray(impulse_times, dtype=float))
-                            if t0 < p < horizon), dtype=float)
+    pts = np.atleast_1d(np.asarray(impulse_times, dtype=float))
+    pts = np.sort(pts[(pts > t0) & (pts < horizon)])
     if pts.size != np.unique(pts).size:
         raise ValueError("impulse times must be distinct")
 
+    # piece j spans [bounds[j], bounds[j+1]] with n[j] + 1 slots, the
+    # np.linspace(a, b, n + 1) points with both ends exact
     bounds = np.concatenate(([t0], pts, [horizon]))
-    nodes = []
-    grid = []
-    left_slot = []
-    right_slot = []
-    slot = 0
-    for j in range(bounds.size - 1):
-        a, b = bounds[j], bounds[j + 1]
-        n = max(1, int(math.ceil((b - a) / spacing - 1e-12)))
-        seg = np.linspace(a, b, n + 1)
-        seg[0], seg[-1] = a, b
-        if j == 0:
-            for tt in seg:
-                nodes.append(tt)
-                grid.append(tt)
-                left_slot.append(slot)
-                right_slot.append(slot)
-                slot += 1
-        else:
-            # seg[0] equals the impulse time already present as grid[-1];
-            # it gets a fresh right slot.
-            nodes.append(seg[0])
-            right_slot[-1] = slot
-            slot += 1
-            for tt in seg[1:]:
-                nodes.append(tt)
-                grid.append(tt)
-                left_slot.append(slot)
-                right_slot.append(slot)
-                slot += 1
+    a, b = bounds[:-1], bounds[1:]
+    n = np.maximum(1, np.ceil((b - a) / spacing - 1e-12).astype(int))
+    first = np.concatenate(([0], np.cumsum(n + 1)[:-1]))
+    k = np.arange(first[-1] + n[-1] + 1) - np.repeat(first, n + 1)
+    nodes = k * np.repeat((b - a) / n, n + 1) + np.repeat(a, n + 1)
+    nodes[first], nodes[first + n] = a, b
+    # a piece after an impulse starts with that impulse's right slot; the
+    # grid keeps the left slot, which ends the piece before
+    keep = np.ones(nodes.size, dtype=bool)
+    keep[first[1:]] = False
+    left_slot = np.flatnonzero(keep)
+    right_slot = left_slot.copy()
+    right_slot[first[1:] - np.arange(1, pts.size + 1)] += 1
     return Mesh(
-        nodes=np.asarray(nodes, dtype=float),
-        grid=np.asarray(grid, dtype=float),
-        left_slot=np.asarray(left_slot, dtype=int),
-        right_slot=np.asarray(right_slot, dtype=int),
+        nodes=nodes,
+        grid=nodes[keep],
+        left_slot=left_slot,
+        right_slot=right_slot,
         impulse_times=pts,
     )
 
@@ -158,12 +150,11 @@ class PiecewiseC1Function:
     @property
     def jump_registry(self):
         """Jumps (p, dvalue, dderiv) at each doubled node, derived from slots."""
-        out = []
-        for p in self.mesh.impulse_times:
-            lo, hi = self.mesh.impulse_slots(p)
-            out.append((float(p), float(self.values[hi] - self.values[lo]),
-                        float(self.derivs[hi] - self.derivs[lo])))
-        return tuple(out)
+        d = self.mesh.doubled_nodes()
+        lo, hi = self.mesh.left_slot[d], self.mesh.right_slot[d]
+        return tuple(zip(self.mesh.grid[d].tolist(),
+                         (self.values[hi] - self.values[lo]).tolist(),
+                         (self.derivs[hi] - self.derivs[lo]).tolist()))
 
     def _locate(self, t):
         """Map query times to (interval index, exact-node mask, node index)."""
@@ -187,6 +178,11 @@ class PiecewiseC1Function:
         t = np.atleast_1d(t_in)
         mesh = self.mesh
         grid = mesh.grid
+        bad = ~np.isfinite(t)
+        if np.any(bad):
+            first = np.argwhere(bad)[0]
+            where = int(first[0]) if first.size == 1 else tuple(first.tolist())
+            raise ValueError(f"non-finite query time {t[tuple(first)]} at index {where}")
         if np.any(t < grid[0]):
             raise ValueError(f"evaluation below the working domain start t0={grid[0]}")
         out = np.empty(t.shape, dtype=float)
@@ -318,15 +314,14 @@ def pair_lincomb(a, s1: SolutionPair, b, s2: SolutionPair) -> SolutionPair:
 
 def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     """Evaluate fn at another mesh's slots, honoring left/right sides."""
-    tt = mesh.nodes
-    vals = np.atleast_1d(fn(tt)).copy()
-    ders = np.atleast_1d(fn.deriv(tt)).copy()
-    for p in mesh.impulse_times:
-        _, hi = mesh.impulse_slots(p)
-        if np.isin(p, fn.mesh.impulse_times):
-            _, fhi = fn.mesh.impulse_slots(p)
-            vals[hi] = fn.values[fhi]
-            ders[hi] = fn.derivs[fhi]
+    vals = fn(mesh.nodes)
+    ders = fn.deriv(mesh.nodes)
+    d, fd = mesh.doubled_nodes(), fn.mesh.doubled_nodes()
+    _, i, fi = np.intersect1d(mesh.grid[d], fn.mesh.grid[fd], assume_unique=True,
+                              return_indices=True)
+    hi, fhi = mesh.right_slot[d[i]], fn.mesh.right_slot[fd[fi]]
+    vals[hi] = fn.values[fhi]
+    ders[hi] = fn.derivs[fhi]
     return vals, ders
 
 
@@ -361,13 +356,20 @@ def constant_fn(mesh: Mesh, value=0.0, slope=0.0) -> PiecewiseC1Function:
     )
 
 
+def slot_sides(mesh: Mesh):
+    """Per-slot side labels: '-' on the left slot and '+' on the right slot
+    of each doubled node, '' elsewhere."""
+    d = mesh.doubled_nodes()
+    sides = np.full(mesh.n_slots, "", dtype="<U1")
+    sides[mesh.left_slot[d]] = "-"
+    sides[mesh.right_slot[d]] = "+"
+    return sides
+
+
 def write_csv(x: PiecewiseC1Function, path):
     """Serialize to CSV with columns t, side (-/+ at doubled nodes), value, deriv."""
-    doubled_left = {x.mesh.impulse_slots(p)[0] for p in x.mesh.impulse_times}
-    doubled_right = {x.mesh.impulse_slots(p)[1] for p in x.mesh.impulse_times}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "side", "value", "deriv"])
-        for i, t in enumerate(x.mesh.nodes):
-            side = "-" if i in doubled_left else ("+" if i in doubled_right else "")
-            w.writerow([repr(float(t)), side, repr(float(x.values[i])), repr(float(x.derivs[i]))])
+        w.writerows(zip(map(repr, x.mesh.nodes.tolist()), slot_sides(x.mesh).tolist(),
+                        map(repr, x.values.tolist()), map(repr, x.derivs.tolist())))

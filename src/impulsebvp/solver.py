@@ -20,7 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .fnspace import (SolutionPair, constant_fn, norm_X, pair_lincomb)
+from .fnspace import (SolutionPair, constant_fn, norm_X, pair_lincomb,
+                      slot_sides)
 from .model import ImpulsiveCoupledBVP
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
                        TruncationReport, _gauss_panels, apply_T, problem_meshes)
@@ -233,31 +234,20 @@ def _plain_rhs_integral(rhs, s: SolutionPair, order=8):
     return float((wts.ravel() * vals).sum())
 
 
-def _piece_slot_ranges(mesh):
-    starts = [0]
-    ends = []
-    for pp in mesh.impulse_times:
-        lo, hi = mesh.impulse_slots(pp)
-        ends.append(lo)
-        starts.append(hi)
-    ends.append(mesh.n_slots - 1)
-    return list(zip(starts, ends))
-
-
 def _ode_residual(fn, x, s: SolutionPair):
     """sup over interior smooth-piece nodes of |x'' - fn|, with x'' from
     central differences of the stored first derivatives."""
-    worst = 0.0
-    for lo, hi in _piece_slot_ranges(x.mesh):
-        if hi - lo < 2:
-            continue
-        t = x.mesh.nodes[lo:hi + 1]
-        d = x.derivs[lo:hi + 1]
-        second = (d[2:] - d[:-2]) / (t[2:] - t[:-2])
-        ti = t[1:-1]
-        rhs = fn(ti, s.u(ti), s.v(ti), s.u.deriv(ti), s.v.deriv(ti))
-        worst = max(worst, float(np.max(np.abs(second - rhs))))
-    return worst
+    # pieces end on the left slot of a doubled node and restart on its right slot
+    interior = slot_sides(x.mesh) == ""
+    interior[[0, -1]] = False
+    i = np.flatnonzero(interior)
+    if i.size == 0:
+        return 0.0
+    t, dd = x.mesh.nodes, x.derivs
+    second = (dd[i + 1] - dd[i - 1]) / (t[i + 1] - t[i - 1])
+    ti = t[i]
+    rhs = fn(ti, s.u(ti), s.v(ti), s.u.deriv(ti), s.v.deriv(ti))
+    return float(np.max(np.abs(second - rhs)))
 
 
 def _jump_residuals(x, m0, m1):

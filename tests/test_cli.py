@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ZERO_DOC = """{
@@ -228,3 +229,93 @@ def test_out_dir_env_var(zero_file, tmp_path, monkeypatch):
     res = run_cli("solve", str(zero_file), "--mesh-spacing", "0.1", env=env)
     assert res.returncode == 0
     assert (tmp_path / "envout" / "solution.csv").exists()
+
+
+# u and v share the impulse at 1.0; the u impulse at 2.0 falls on a plain
+# v grid node; v jumps at 2.5 and 3.7, where u does not
+MIXED_DOC = {
+    "boundary": {"A1": 0.5, "A2": -0.25, "B1": 0.1, "B2": 0.2},
+    "rhs": {"f": {"name": "linear_state_decay",
+                  "params": {"c0": 0.2, "cx": 0.1, "cy": 0.05, "cz": 0.1, "cw": 0.05}},
+            "h": {"name": "decaying_sin_state"}},
+    "impulses": {
+        "u": {"schedule": {"points": [1.0, 2.0]},
+              "I0": {"name": "constant", "params": {"value": 0.5}},
+              "I1": {"name": "constant", "params": {"value": 0.1}}},
+        "v": {"schedule": {"points": [1.0, 2.5, 3.7]},
+              "J0": {"name": "constant", "params": {"value": -0.25}},
+              "J1": {"name": "constant", "params": {"value": 0.05}}}},
+}
+
+
+def _side_rows_scalar(pair):
+    """Reference: rows (t, side, u, u', v, v') over the union grid, one
+    scalar evaluation per row and component."""
+    u, v = pair.u, pair.v
+    times = np.union1d(u.mesh.grid, v.mesh.grid)
+    jumps = np.union1d(u.mesh.impulse_times, v.mesh.impulse_times)
+
+    def at(fn, t, side):
+        if side == "+" and np.isin(t, fn.mesh.impulse_times):
+            lo, hi = fn.mesh.impulse_slots(t)
+            return fn.values[hi], fn.derivs[hi]
+        return fn(t), fn.deriv(t)
+
+    rows = []
+    for t in times:
+        sides = ("-", "+") if np.isin(t, jumps) else ("",)
+        for side in sides:
+            eff = "+" if side == "+" else "-"
+            uu, du = at(u, t, eff)
+            vv, dv = at(v, t, eff)
+            rows.append((float(t), side, float(uu), float(du), float(vv), float(dv)))
+    return rows
+
+
+def _write_solution_scalar(out, pair):
+    """Reference writer over the scalar rows."""
+    rows = _side_rows_scalar(pair)
+    with open(out / "solution.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "side", "u", "u_deriv", "v", "v_deriv"])
+        for r in rows:
+            w.writerow([repr(r[0]), r[1], repr(r[2]), repr(r[3]), repr(r[4]), repr(r[5])])
+    with open(out / "solution.dat", "w") as fh:
+        fh.write("# t u u_deriv v v_deriv\n")
+        for r in rows:
+            if r[1] == "+":
+                fh.write("\n")
+            fh.write(f"{r[0]:.17g} {r[2]:.17g} {r[3]:.17g} {r[4]:.17g} {r[5]:.17g}\n")
+
+
+def _writer_case(name):
+    from impulsebvp.manufactured import manufactured_problem
+    from impulsebvp.operator import QuadratureConfig
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    from impulsebvp.problemfile import load_problem
+    if name == "manufactured":
+        return manufactured_problem(), QuadratureConfig(horizon=40.0, mesh_spacing=0.02)
+    if name == "pendulum":
+        return (build_pendulum_problem(PendulumParams()),
+                QuadratureConfig(horizon=6.0, mesh_spacing=0.01))
+    return load_problem(MIXED_DOC), QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+
+
+@pytest.mark.parametrize("name", ["manufactured", "pendulum", "mixed"])
+def test_solution_writer_matches_scalar_reference(name, tmp_path):
+    from impulsebvp.cli import _write_solution
+    from impulsebvp.solver import SolverConfig, solve
+    p, qc = _writer_case(name)
+    pair, _ = solve(p, SolverConfig(max_iter=5), qc)
+    if name == "mixed":
+        mu, mv = pair.u.mesh, pair.v.mesh
+        assert set(mu.impulse_times) & set(mv.impulse_times) == {1.0}
+        assert 2.0 in mu.impulse_times and 2.0 in mv.grid and 2.0 not in mv.impulse_times
+        assert set(mv.impulse_times) - set(mu.impulse_times) == {2.5, 3.7}
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir()
+    ref.mkdir()
+    _write_solution(new, pair)
+    _write_solution_scalar(ref, pair)
+    for fname in ("solution.csv", "solution.dat"):
+        assert (new / fname).read_bytes() == (ref / fname).read_bytes()

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from impulsebvp.fnspace import (PiecewiseC1Function, apply_jump, build_mesh,
+from impulsebvp.fnspace import (PiecewiseC1Function, _eval_on_slots, apply_jump, build_mesh,
                                 constant_fn, difference_norm, fn_lincomb,
                                 norm_X, norm_deriv_sup, norm_weighted_sup,
                                 pair_lincomb, write_csv, SolutionPair)
@@ -206,3 +208,96 @@ def test_csv_serialization(tmp_path):
     assert len(lines) == 1 + m.n_slots
     sides = [ln.split(",")[1] for ln in lines[1:]]
     assert sides.count("-") == 1 and sides.count("+") == 1
+
+
+def _build_mesh_loop(t0, horizon, impulse_times=(), spacing=0.01):
+    """Reference: the node-by-node mesh construction."""
+    pts = np.asarray(sorted(p for p in np.atleast_1d(np.asarray(impulse_times, dtype=float))
+                            if t0 < p < horizon), dtype=float)
+    bounds = np.concatenate(([t0], pts, [horizon]))
+    nodes, grid, left_slot, right_slot = [], [], [], []
+    slot = 0
+    for j in range(bounds.size - 1):
+        a, b = bounds[j], bounds[j + 1]
+        n = max(1, int(math.ceil((b - a) / spacing - 1e-12)))
+        seg = np.linspace(a, b, n + 1)
+        seg[0], seg[-1] = a, b
+        if j > 0:
+            nodes.append(seg[0])
+            right_slot[-1] = slot
+            slot += 1
+            seg = seg[1:]
+        for tt in seg:
+            nodes.append(tt)
+            grid.append(tt)
+            left_slot.append(slot)
+            right_slot.append(slot)
+            slot += 1
+    return nodes, grid, left_slot, right_slot, pts
+
+
+def test_build_mesh_matches_the_node_loop():
+    cases = (
+        (0.0, 40.0, [1.0, 2.5, 4.0], 0.02),               # criterion 04
+        (0.0, 40.0, 0.07 + 0.1 * np.arange(400), 0.01),   # 400-impulse rule
+        (0.0, 40.0, 0.02 * np.arange(1, 2000), 0.01),     # K = 1999
+        (1.0, 10.0, [0.5, 1.0, 3.0, 3.004, 10.0, 12.0], 0.5),
+        (0.0, 5.0, [], 0.3),
+    )
+    for t0, horizon, pts, spacing in cases:
+        m = build_mesh(t0, horizon, pts, spacing)
+        want = _build_mesh_loop(t0, horizon, pts, spacing)
+        for got, ref in zip((m.nodes, m.grid, m.left_slot, m.right_slot, m.impulse_times),
+                            want):
+            assert np.array_equal(got, np.asarray(ref))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evaluation_rejects_non_finite_times(bad):
+    x = constant_fn(build_mesh(0.0, 5.0, [2.0], spacing=0.25), 1.0, 0.5)
+    with pytest.raises(ValueError, match="at index 0"):
+        x(bad)
+    with pytest.raises(ValueError, match="at index 2"):
+        x.deriv(np.array([0.5, 1.0, bad, 4.0, bad]))
+
+
+def _eval_on_slots_loop(fn, mesh):
+    """Reference: right slots patched one impulse at a time."""
+    vals = np.atleast_1d(fn(mesh.nodes)).copy()
+    ders = np.atleast_1d(fn.deriv(mesh.nodes)).copy()
+    for p in mesh.impulse_times:
+        _, hi = mesh.impulse_slots(p)
+        if np.isin(p, fn.mesh.impulse_times):
+            _, fhi = fn.mesh.impulse_slots(p)
+            vals[hi] = fn.values[fhi]
+            ders[hi] = fn.derivs[fhi]
+    return vals, ders
+
+
+def test_eval_on_slots_matches_the_impulse_loop():
+    coarse = build_mesh(0.0, 10.0, [1.0, 2.0, 4.5, 7.0], spacing=0.1)
+    fine = build_mesh(0.0, 20.0, [1.0, 3.0, 4.5, 8.25], spacing=0.03)
+    x = from_callable(fine, lambda t: np.sin(t) + 0.1 * (t > 1.0) - 0.2 * (t > 4.5),
+                      lambda t: np.cos(t) + 0.3 * (t > 3.0), tail=0.5)
+    x = apply_jump(apply_jump(x, 1.0, 0.1, 0.05), 4.5, -0.2, 0.3)
+    got = _eval_on_slots(x, coarse)
+    want = _eval_on_slots_loop(x, coarse)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_csv_serialization_matches_the_slot_loop(tmp_path):
+    import csv
+    m = build_mesh(0.0, 6.0, [1.0, 2.5, 2.51], spacing=0.2)
+    x = from_callable(m, np.sin, np.cos, tail=0.5)
+    x = apply_jump(apply_jump(x, 1.0, 0.25, -0.5), 2.51, 0.1, 0.0)
+    write_csv(x, tmp_path / "new.csv")
+    left = {m.impulse_slots(p)[0] for p in m.impulse_times}
+    right = {m.impulse_slots(p)[1] for p in m.impulse_times}
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "side", "value", "deriv"])
+        for i, t in enumerate(m.nodes):
+            side = "-" if i in left else ("+" if i in right else "")
+            w.writerow([repr(float(t)), side, repr(float(x.values[i])),
+                        repr(float(x.derivs[i]))])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

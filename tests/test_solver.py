@@ -242,3 +242,42 @@ def test_evaluation_error_gets_iteration_index():
     with pytest.raises(EvaluationError) as exc:
         solve(p, SolverConfig(max_iter=10, tol=1e-30), qc)
     assert exc.value.location["iteration"] == 3
+
+
+def _ode_residual_loop(fn, x, s):
+    """Reference: one smooth piece at a time, pieces of fewer than three
+    slots skipped."""
+    starts, ends = [0], []
+    for pp in x.mesh.impulse_times:
+        lo, hi = x.mesh.impulse_slots(pp)
+        ends.append(lo)
+        starts.append(hi)
+    ends.append(x.mesh.n_slots - 1)
+    worst = 0.0
+    for lo, hi in zip(starts, ends):
+        if hi - lo < 2:
+            continue
+        t = x.mesh.nodes[lo:hi + 1]
+        d = x.derivs[lo:hi + 1]
+        second = (d[2:] - d[:-2]) / (t[2:] - t[:-2])
+        ti = t[1:-1]
+        rhs = fn(ti, s.u(ti), s.v(ti), s.u.deriv(ti), s.v.deriv(ti))
+        worst = max(worst, float(np.max(np.abs(second - rhs))))
+    return worst
+
+
+def test_ode_residual_matches_the_per_piece_loop():
+    from impulsebvp.audit import sample_ball_pair
+    from impulsebvp.solver import _ode_residual
+    # u has a two-slot piece [1.0, 1.004] with no interior node
+    p = simple_problem(f=RHS_REGISTRY["decaying_sin_state"](),
+                       h=RHS_REGISTRY["linear_state_decay"](c0=0.2, cx=0.1, cz=-0.3),
+                       u_schedule=ImpulseSchedule(points=(1.0, 1.004, 2.5, 3.0)),
+                       v_schedule=ImpulseSchedule(points=(1.0, 1.7, 4.25)))
+    qc = QuadratureConfig(horizon=8.0, mesh_spacing=0.05)
+    pairs = [sample_ball_pair(p, qc, 1.0, np.random.default_rng(seed)) for seed in (0, 1)]
+    m = manufactured_problem()
+    pairs.append(solve(m, SolverConfig(), QuadratureConfig(horizon=20.0, mesh_spacing=0.01))[0])
+    for prob, s in ((p, pairs[0]), (p, pairs[1]), (m, pairs[2])):
+        for fn, x in ((prob.f, s.u), (prob.h, s.v)):
+            assert _ode_residual(fn, x, s) == _ode_residual_loop(fn, x, s)
