@@ -323,13 +323,14 @@ def _smooth_random(rng, t, n_modes=3, decay=8.0):
     a1 = rng.uniform(-1.0, 1.0)
     vals = a0 + a1 * t
     ders = np.full_like(t, a1)
+    env = np.exp(-(t - t0) / decay)
     for _ in range(n_modes):
         c = rng.uniform(-1.0, 1.0)
         w = rng.uniform(0.2, 3.0)
         ph = rng.uniform(0.0, 2.0 * np.pi)
-        env = np.exp(-(t - t0) / decay)
-        vals = vals + c * env * np.sin(w * t + ph)
-        ders = ders + c * env * (w * np.cos(w * t + ph) - np.sin(w * t + ph) / decay)
+        sine = np.sin(w * t + ph)
+        vals = vals + c * env * sine
+        ders = ders + c * env * (w * np.cos(w * t + ph) - sine / decay)
     return vals, ders, a1
 
 
@@ -384,7 +385,7 @@ def sample_ball_pair(p: ImpulsiveCoupledBVP, qc: QuadratureConfig, radius,
 
 
 def check_ball_invariance(p: ImpulsiveCoupledBVP, b: Optional[CaratheodoryBounds],
-                          rho2, sc, qc: QuadratureConfig, samples, seed,
+                          rho2, qc: QuadratureConfig, samples, seed,
                           sample_radius=None):
     """Apply T to random ball elements and count images inside the rho2-ball.
 
@@ -425,7 +426,7 @@ def run_audit(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho, rho1, K,
     rho2 = max(entries.values())
     nball = ball_samples if ball_samples is not None else max(20, samples // 10)
     tested, inside = check_ball_invariance(
-        p, b, rho2, None, qc, nball, seed + 2,
+        p, b, rho2, qc, nball, seed + 2,
         sample_radius=rho if sample_at_rho else None)
     verdicts = {
         "domination": len(dom) == 0,

@@ -22,11 +22,13 @@ side and are excluded from all sums.
 
 Everything that depends only on the problem, the quadrature config and the
 two meshes lives in an :class:`OperatorPlan`: the panel boundaries, Gauss
-points and weights, where each Gauss point falls on each mesh, and the slot
-bookkeeping of the assembly.  ``solve`` and the ball-invariance audit build
-one plan and pass it to every :func:`apply_T` call; without a plan,
-``apply_T`` builds one for the call.  One Hermite pass per mesh gives
-u, v, u', v' at the Gauss points for both f and h.
+points and weights, per mesh and panel the two slots whose Hermite data
+the panel interpolates, the cubic Hermite weights at every Gauss point,
+and the slot bookkeeping of the assembly.  ``solve`` and the
+ball-invariance audit build one plan and pass it to every :func:`apply_T`
+call; without a plan, ``apply_T`` builds one for the call.  Per call, one
+pass per mesh (four per-panel gathers and two weighted sums) gives u, v,
+u', v' at the Gauss points for both f and h.
 
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
@@ -228,16 +230,31 @@ def _check_mesh_matches(mesh, sched, p, q, which):
 class _MeshPlan:
     """What one component's mesh contributes to the operator, per problem.
 
-    ``interval[i]`` is the grid interval holding Gauss point i
-    (grid[j] < s < grid[j+1]); the few points that coincide with a grid
-    node are listed in ``on_node`` and read ``node_slot`` (the left slot,
-    by the left-continuity convention).  ``lo``/``hi`` are the left and
-    right slots of the impulse nodes, in schedule order.
+    Every quadrature panel lies inside one grid interval of the mesh (the
+    panel boundaries contain the grid), so the Hermite data of panel i is
+    read from the two slots ``s_lo[i]`` (right slot of grid node j) and
+    ``s_hi[i]`` (left slot of grid node j+1), with interval length ``h[i]``.
+    The cubic Hermite weights at the panel's Gauss points are fixed by the
+    plan: ``w00``, ``w10``, ``w01``, ``w11`` (``h`` folded into the two
+    that multiply slot derivatives) give the value, ``da``, ``db``, ``dc``
+    the derivative.  The few Gauss points that coincide with a grid node are
+    listed in ``on_node`` (flat indices) and read ``node_slot`` (the left
+    slot, by the left-continuity convention).  ``lo``/``hi`` are the left
+    and right slots of the impulse nodes, in schedule order.
     """
 
     mesh: Mesh
     sched_pts: np.ndarray
-    interval: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    h: np.ndarray
+    w00: np.ndarray
+    w10: np.ndarray
+    w01: np.ndarray
+    w11: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray
     on_node: np.ndarray
     node_slot: np.ndarray
     gidx: np.ndarray
@@ -247,10 +264,19 @@ class _MeshPlan:
     cnt: np.ndarray
 
     @staticmethod
-    def build(mesh, sched_pts, boundaries, flat):
+    def build(mesh, sched_pts, boundaries, spts):
         grid = mesh.grid
+        flat = spts.ravel()
         pos = np.searchsorted(grid, flat, side="left")
         on_node = np.flatnonzero(grid[np.minimum(pos, grid.size - 1)] == flat)
+        # the same expressions as PiecewiseC1Function._eval, per panel
+        j = np.minimum(np.searchsorted(grid, boundaries[:-1], side="right") - 1,
+                       grid.size - 2)[:, None]
+        x0 = grid[j]
+        h = grid[j + 1] - x0
+        u = (spts - x0) / h
+        u2 = u * u
+        u3 = u2 * u
         gr = np.arange(grid.size)
         slot_to_grid = np.empty(mesh.n_slots, dtype=int)
         slot_to_grid[mesh.left_slot] = gr
@@ -262,33 +288,23 @@ class _MeshPlan:
         cnt[hi] += 1
         return _MeshPlan(
             mesh=mesh, sched_pts=sched_pts,
-            interval=np.maximum(pos - 1, 0).astype(np.int32),
+            s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
+            w00=2.0 * u3 - 3.0 * u2 + 1.0, w10=h * (u3 - 2.0 * u2 + u),
+            w01=-2.0 * u3 + 3.0 * u2, w11=h * (u3 - u2),
+            da=6.0 * u2 - 6.0 * u, db=3.0 * u2 - 4.0 * u + 1.0, dc=3.0 * u2 - 2.0 * u,
             on_node=on_node, node_slot=mesh.left_slot[pos[on_node]],
             gidx=np.searchsorted(boundaries, grid), slot_to_grid=slot_to_grid,
             lo=lo, hi=hi, cnt=cnt)
 
-    def interpolate(self, x: PiecewiseC1Function, flat):
-        """x and x' at the Gauss points ``flat``, bit for bit as
+    def interpolate(self, x: PiecewiseC1Function):
+        """x and x' at the plan's Gauss points (flattened), bit for bit as
         ``x(flat)`` and ``x.deriv(flat)`` compute them."""
-        grid = self.mesh.grid
-        j = self.interval
-        s_lo = self.mesh.right_slot[j]
-        s_hi = self.mesh.left_slot[j + 1]
-        x0 = grid[j]
-        h = grid[j + 1] - x0
-        u = (flat - x0) / h
-        v0, v1 = x.values[s_lo], x.values[s_hi]
-        d0, d1 = x.derivs[s_lo], x.derivs[s_hi]
-        u2 = u * u
-        u3 = u2 * u
-        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-        h10 = u3 - 2.0 * u2 + u
-        h01 = -2.0 * u3 + 3.0 * u2
-        h11 = u3 - u2
-        val = h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
-        der = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
-               + (3.0 * u2 - 4.0 * u + 1.0) * d0
-               + (3.0 * u2 - 2.0 * u) * d1)
+        v0, v1 = x.values[self.s_lo], x.values[self.s_hi]
+        d0, d1 = x.derivs[self.s_lo], x.derivs[self.s_hi]
+        val = (self.w00 * v0 + self.w10 * d0 + self.w01 * v1 + self.w11 * d1).ravel()
+        # dividing by h after the product, not folding 1/h into da, keeps
+        # the last bit equal to _eval's
+        der = (self.da * (v0 - v1) / self.h + self.db * d0 + self.dc * d1).ravel()
         val[self.on_node] = x.values[self.node_slot]
         der[self.on_node] = x.derivs[self.node_slot]
         return val, der
@@ -302,9 +318,9 @@ class OperatorPlan:
 
     Holds the panel boundaries (the union of both grids, refined so every
     piece between impulse times has ``panels_per_piece`` panels), the
-    Gauss points and weights, and per component a :class:`_MeshPlan`
-    with the schedule points, the Gauss-point locations and the slot
-    bookkeeping of the assembly.
+    Gauss points and weights, and per component a :class:`_MeshPlan` with
+    the schedule points, the Hermite gathers and weights at the Gauss
+    points and the slot bookkeeping of the assembly.
     """
 
     problem: ImpulsiveCoupledBVP
@@ -328,11 +344,10 @@ class OperatorPlan:
         boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid),
                                          hard, q.panels_per_piece)
         spts, wts = _gauss_panels(boundaries, q.gauss_order)
-        flat = spts.ravel()
         return OperatorPlan(
             problem=p, config=q, boundaries=boundaries, spts=spts, wts=wts,
-            u=_MeshPlan.build(u_mesh, pts_u, boundaries, flat),
-            v=_MeshPlan.build(v_mesh, pts_v, boundaries, flat))
+            u=_MeshPlan.build(u_mesh, pts_u, boundaries, spts),
+            v=_MeshPlan.build(v_mesh, pts_v, boundaries, spts))
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""
@@ -417,9 +432,8 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     else:
         plan.check(p, q, s)
     boundaries, spts, wts = plan.boundaries, plan.spts, plan.wts
-    flat = spts.ravel()
-    U, dU = plan.u.interpolate(s.u, flat)
-    V, dV = plan.v.interpolate(s.v, flat)
+    U, dU = plan.u.interpolate(s.u)
+    V, dV = plan.v.interpolate(s.v)
 
     fvals = _rhs_values(p.f, spts, U, V, dU, dV)
     m0f, C0f, C1f = _moments(spts, wts, fvals)

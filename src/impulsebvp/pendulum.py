@@ -20,6 +20,7 @@ from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
                     ImpulsiveCoupledBVP, RhsFunction)
 
 __all__ = ["PendulumParams", "build_pendulum_problem",
+           "spring_pendulum_f", "spring_pendulum_h",
            "pendulum_bound_Phi", "pendulum_bound_Psi"]
 
 
@@ -59,6 +60,27 @@ class PendulumParams:
             raise ValueError("alpha must have eight entries")
         if self.l_min <= 0:
             raise ValueError("l_min must be positive")
+
+
+def spring_pendulum_f(m=1.0, k=1.0, g=9.8, l0=1.0):
+    """The length equation's right-hand side f(t, x, y, z, w), with
+    x = length, y = angle, z = length', w = angle'."""
+    km = k / m
+
+    def f(t, x, y, z, w):
+        return (x * w - g * np.cos(y) - km * (x - l0)) / t ** 3
+
+    return f
+
+
+def spring_pendulum_h(m=1.0, k=1.0, g=9.8, l0=1.0):
+    """The angle equation's right-hand side h(t, x, y, z, w); ``m``, ``k``
+    and ``l0`` do not enter it and are accepted for a uniform signature."""
+
+    def h(t, x, y, z, w):
+        return (-g * x * np.sin(y) - 2.0 * x * z * w) / (t ** 3 * x * x)
+
+    return h
 
 
 def pendulum_bound_Phi(pp: PendulumParams, rho, t):
@@ -137,21 +159,14 @@ def build_pendulum_problem(pp: PendulumParams) -> ImpulsiveCoupledBVP:
     if pp.t0 <= 0.0:
         raise ValueError("the pendulum right-hand sides contain 1/t^3; "
                          "pick a working-domain start t0 > 0")
-    g, km, l0 = pp.g, pp.k / pp.m, pp.l0
+    phys = {"m": pp.m, "k": pp.k, "g": pp.g, "l0": pp.l0}
     a = pp.alpha
-
-    def f(t, x, y, z, w):
-        return (x * w - g * np.cos(y) - km * (x - l0)) / t ** 3
-
-    def h(t, x, y, z, w):
-        return (-g * x * np.sin(y) - 2.0 * x * z * w) / (t ** 3 * x * x)
-
     integers = ImpulseSchedule(rule=lambda k: float(k))
     return ImpulsiveCoupledBVP(
-        f=RhsFunction(f, name="spring-pendulum-f",
-                      params={"m": pp.m, "k": pp.k, "g": pp.g, "l0": pp.l0}),
-        h=RhsFunction(h, name="spring-pendulum-h",
-                      params={"m": pp.m, "k": pp.k, "g": pp.g, "l0": pp.l0}),
+        f=RhsFunction(spring_pendulum_f(**phys), name="spring-pendulum-f",
+                      params=dict(phys)),
+        h=RhsFunction(spring_pendulum_h(**phys), name="spring-pendulum-h",
+                      params=dict(phys)),
         boundary=BoundaryData(A1=0.0, A2=0.0, B1=pp.B1, B2=pp.B2),
         u_schedule=integers,
         v_schedule=integers,

@@ -16,7 +16,8 @@ from .audit import CaratheodoryBounds
 from .manufactured import manufactured_problem
 from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
                     ImpulsiveCoupledBVP, RhsFunction)
-from .pendulum import PendulumParams, build_pendulum_problem
+from .pendulum import (PendulumParams, build_pendulum_problem, spring_pendulum_f,
+                       spring_pendulum_h)
 
 __all__ = ["load_problem", "load_problem_file", "RHS_REGISTRY",
            "IMPULSE_REGISTRY", "MODEL_REGISTRY", "BOUND_REGISTRY",
@@ -50,15 +51,6 @@ def _rhs_linear_state_decay(cx=0.0, cy=0.0, cz=0.0, cw=0.0, c0=0.0, rate=1.0):
         c0 + cx * x + cy * y + cz * z + cw * w)
 
 
-def _rhs_pendulum_f(m=1.0, k=1.0, g=9.8, l0=1.0):
-    km = k / m
-    return lambda t, x, y, z, w: (x * w - g * np.cos(y) - km * (x - l0)) / t ** 3
-
-
-def _rhs_pendulum_h(m=1.0, k=1.0, g=9.8, l0=1.0):
-    return lambda t, x, y, z, w: (-g * x * np.sin(y) - 2.0 * x * z * w) / (t ** 3 * x * x)
-
-
 RHS_REGISTRY = {
     "zero": _rhs_zero,
     "constant": _rhs_constant,
@@ -66,8 +58,8 @@ RHS_REGISTRY = {
     "decaying_sin_state": _rhs_decaying_sin_state,
     "bump_weighted_state": _rhs_bump_weighted_state,
     "linear_state_decay": _rhs_linear_state_decay,
-    "spring_pendulum_f": _rhs_pendulum_f,
-    "spring_pendulum_h": _rhs_pendulum_h,
+    "spring_pendulum_f": spring_pendulum_f,
+    "spring_pendulum_h": spring_pendulum_h,
 }
 
 

@@ -225,13 +225,16 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     return best, diag
 
 
-def _plain_rhs_integral(rhs, s: SolutionPair, order=8):
-    """integral_{t0}^{H} rhs(s, u, v, u', v') ds on the union of both grids."""
+def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair, order=8):
+    """(integral_{t0}^{H} f ds, integral_{t0}^{H} h ds) with the arguments
+    (s, u, v, u', v') on the union of both grids, from one evaluation of
+    u, v, u', v' at the Gauss points."""
     boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
     spts, wts = _gauss_panels(boundaries, order)
     flat = spts.ravel()
-    vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
-    return float((wts.ravel() * vals).sum())
+    w = wts.ravel()
+    args = (flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
+    return float((w * p.f(*args)).sum()), float((w * p.h(*args)).sum())
 
 
 def _ode_residual(fn, x, s: SolutionPair):
@@ -277,8 +280,7 @@ def verify_residuals(p: ImpulsiveCoupledBVP, s: SolutionPair) -> ResidualReport:
     j_j0, j_j1 = _jump_residuals(s.v, p.J0, p.J1)
 
     t0 = s.u.mesh.t0
-    int_f = _plain_rhs_integral(p.f, s)
-    int_h = _plain_rhs_integral(p.h, s)
+    int_f, int_h = _plain_rhs_integrals(p, s)
 
     def _deriv_jump_sum(x, m1):
         pts = x.mesh.impulse_times

@@ -211,7 +211,7 @@ def test_criterion_09_ball_invariance():
     pz = bare_problem(boundary=(1.0, -0.5, 2.0, 0.25))
     bz = ib.CaratheodoryBounds.zero()
     rho2 = ib.compute_rho2(pz, bz, rho1=1.0, rho=1.0, K=10, q=qc)
-    tested, inside = ib.check_ball_invariance(pz, bz, rho2, None, qc,
+    tested, inside = ib.check_ball_invariance(pz, bz, rho2, qc,
                                               samples=100, seed=1)
     assert (tested, inside) == (100, 100)
 
@@ -219,7 +219,7 @@ def test_criterion_09_ball_invariance():
     pp = build_pendulum_problem(PendulumParams())
     rho = 1.0
     rho2p = ib.compute_rho2(pp, pp.bounds, rho1=rho, rho=rho, K=2000, q=qc)
-    tested_p, inside_p = ib.check_ball_invariance(pp, pp.bounds, rho2p, None,
+    tested_p, inside_p = ib.check_ball_invariance(pp, pp.bounds, rho2p,
                                                   qc, samples=100, seed=2,
                                                   sample_radius=rho)
     assert tested_p >= 100 and inside_p == tested_p

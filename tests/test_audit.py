@@ -159,7 +159,7 @@ def test_ball_invariance_zero_problem_closed_form():
     b = CaratheodoryBounds.zero()
     rho2 = compute_rho2(p, b, rho1=1.0, rho=1.0, K=10, q=QC)
     assert rho2 == 2.0  # max(rho1, K1, K2, |B1|, |B2|)
-    tested, inside = check_ball_invariance(p, b, rho2, None, QC,
+    tested, inside = check_ball_invariance(p, b, rho2, QC,
                                            samples=50, seed=1)
     assert (tested, inside) == (50, 50)
 
@@ -168,7 +168,7 @@ def test_ball_invariance_pendulum_at_domination_radius():
     p = build_pendulum_problem(PendulumParams())
     rho = 1.0
     rho2 = compute_rho2(p, p.bounds, rho1=rho, rho=rho, K=2000, q=QC)
-    tested, inside = check_ball_invariance(p, p.bounds, rho2, None, QC,
+    tested, inside = check_ball_invariance(p, p.bounds, rho2, QC,
                                            samples=30, seed=2,
                                            sample_radius=rho)
     assert (tested, inside) == (30, 30)
@@ -180,7 +180,7 @@ def test_ball_invariance_failures_counted_not_raised():
                                    name="big"),
                      boundary=(0.0, 0.0, 0.0, 0.0))
     b = CaratheodoryBounds.zero()
-    tested, inside = check_ball_invariance(p, b, rho2=0.5, sc=None, qc=QC,
+    tested, inside = check_ball_invariance(p, b, rho2=0.5, qc=QC,
                                            samples=10, seed=3)
     assert tested == 10 and inside < tested
 
@@ -191,7 +191,7 @@ def test_ball_invariance_failures_vanish_across_truncation_levels():
     for H, K in ((20.0, 500), (40.0, 2000)):
         qc = QuadratureConfig(horizon=H, mesh_spacing=0.05)
         rho2 = compute_rho2(p, p.bounds, rho1=1.0, rho=1.0, K=K, q=qc)
-        tested, inside = check_ball_invariance(p, p.bounds, rho2, None, qc,
+        tested, inside = check_ball_invariance(p, p.bounds, rho2, qc,
                                                samples=15, seed=4,
                                                sample_radius=1.0)
         assert inside == tested

@@ -402,17 +402,32 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
         I0=ImpulseMap(lambda pp, a, b: 0.1 * a, "lin"),
         I1=ImpulseMap(lambda pp, a, b: 0.05 * b, "lin"))
     pend = build_pendulum_problem(PendulumParams())
+    dense = _dense_impulse_problem(1)
     on_node = []
-    for p, spacing, radius in ((crit04, 0.02, 1.5), (pend, 0.01, 0.5)):
+    shared = []
+    for p, spacing, radius in ((crit04, 0.02, 1.5), (pend, 0.01, 0.5), (dense, 0.01, 0.5)):
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
         s = sample_ball_pair(p, qc, radius, np.random.default_rng(7))
         plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
         flat = plan.spts.ravel()
         for mp, x in ((plan.u, s.u), (plan.v, s.v)):
-            val, der = mp.interpolate(x, flat)
+            val, der = mp.interpolate(x)
             assert np.array_equal(val, x(flat))
             assert np.array_equal(der, x.deriv(flat))
             on_node.append(mp.on_node.size)
+            # the per-panel gathers read the grid interval of every Gauss
+            # point off the grid node: j_p = searchsorted(grid, flat) - 1
+            # (left_slot and right_slot are injective, so equal slots mean
+            # equal intervals)
+            grid = x.mesh.grid
+            off = np.ones(flat.size, dtype=bool)
+            off[mp.on_node] = False
+            j = np.searchsorted(grid, flat[off]) - 1
+            per_point = np.broadcast_to(mp.s_lo, plan.spts.shape).ravel()[off]
+            assert np.array_equal(per_point, x.mesh.right_slot[j])
+            per_point = np.broadcast_to(mp.s_hi, plan.spts.shape).ravel()[off]
+            assert np.array_equal(per_point, x.mesh.left_slot[j + 1])
+            shared.append(int(np.sum(mp.s_lo[1:] == mp.s_lo[:-1])))
         with_plan, _ = apply_T(p, s, qc, plan)
         without, _ = apply_T(p, s, qc)
         for a, b in ((with_plan.u, without.u), (with_plan.v, without.v)):
@@ -420,6 +435,8 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
             assert np.array_equal(a.derivs, b.derivs)
     # the criterion-04 panels put Gauss points exactly on grid nodes
     assert on_node[0] > 0
+    # the dense-impulse panels are refined: several per grid interval
+    assert shared[4] > 0 and shared[5] > 0
 
 
 def test_foreign_meshes_rejected_with_and_without_plan():
@@ -454,7 +471,7 @@ def test_build_mesh_runs_twice_per_solve_and_per_ball_audit(monkeypatch):
     solve(p, SolverConfig(max_iter=4), qc)
     assert len(calls) == 2
     calls.clear()
-    tested, _ = check_ball_invariance(p, p.bounds, 1.0, None, qc, samples=4, seed=0,
+    tested, _ = check_ball_invariance(p, p.bounds, 1.0, qc, samples=4, seed=0,
                                       sample_radius=0.5)
     assert tested == 4
     assert len(calls) == 2

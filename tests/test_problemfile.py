@@ -86,3 +86,18 @@ def test_registry_functions_vectorize():
     out = f(t, np.ones_like(t), 0.0, 3.0 * np.ones_like(t), 0.0)
     assert out.shape == t.shape
     assert np.allclose(out, np.exp(-0.5 * t) * 7.0)
+
+
+def test_pendulum_rhs_registry_entries_are_the_pendulum_model():
+    from impulsebvp.pendulum import (PendulumParams, build_pendulum_problem,
+                                     spring_pendulum_f, spring_pendulum_h)
+    assert RHS_REGISTRY["spring_pendulum_f"] is spring_pendulum_f
+    assert RHS_REGISTRY["spring_pendulum_h"] is spring_pendulum_h
+    params = {"m": 2.0, "k": 3.0, "g": 9.0, "l0": 1.5}
+    model = build_pendulum_problem(PendulumParams(**params))
+    t = np.linspace(1.0, 6.0, 11)
+    args = (t, 1.0 + 0.1 * t, np.sin(t), 0.3 * t, np.cos(t))
+    assert np.array_equal(RHS_REGISTRY["spring_pendulum_f"](**params)(*args),
+                          model.f(*args))
+    assert np.array_equal(RHS_REGISTRY["spring_pendulum_h"](**params)(*args),
+                          model.h(*args))

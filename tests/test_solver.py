@@ -281,3 +281,36 @@ def test_ode_residual_matches_the_per_piece_loop():
     for prob, s in ((p, pairs[0]), (p, pairs[1]), (m, pairs[2])):
         for fn, x in ((prob.f, s.u), (prob.h, s.v)):
             assert _ode_residual(fn, x, s) == _ode_residual_loop(fn, x, s)
+
+
+def _plain_rhs_integral_two_pass(rhs, s, order=8):
+    """Reference: one integral per right-hand side, each with its own
+    panels and its own evaluation of u, v, u', v'."""
+    from impulsebvp.operator import _gauss_panels
+    boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
+    spts, wts = _gauss_panels(boundaries, order)
+    flat = spts.ravel()
+    vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
+    return float((wts.ravel() * vals).sum())
+
+
+def test_shared_verifier_pass_matches_the_two_pass_integrals():
+    from impulsebvp.audit import sample_ball_pair
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    from impulsebvp.solver import _plain_rhs_integrals
+    p = simple_problem(f=RHS_REGISTRY["decaying_sin_state"](),
+                       h=RHS_REGISTRY["linear_state_decay"](c0=0.2, cx=0.1, cz=-0.3),
+                       u_schedule=ImpulseSchedule(points=(1.0, 1.004, 2.5, 3.0)),
+                       v_schedule=ImpulseSchedule(points=(1.0, 1.7, 4.25)))
+    qc = QuadratureConfig(horizon=8.0, mesh_spacing=0.05)
+    m = manufactured_problem()
+    pend = build_pendulum_problem(PendulumParams())
+    cases = [(p, sample_ball_pair(p, qc, 1.0, np.random.default_rng(0))),
+             (m, solve(m, SolverConfig(), QuadratureConfig(horizon=20.0,
+                                                           mesh_spacing=0.01))[0]),
+             (pend, sample_ball_pair(pend, QuadratureConfig(horizon=20.0), 0.5,
+                                     np.random.default_rng(3), u_floor=1.0))]
+    for prob, s in cases:
+        int_f, int_h = _plain_rhs_integrals(prob, s)
+        assert int_f == _plain_rhs_integral_two_pass(prob.f, s)
+        assert int_h == _plain_rhs_integral_two_pass(prob.h, s)
