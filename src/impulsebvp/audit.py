@@ -235,18 +235,6 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     return violations, partial_sums, tails
 
 
-def _weighted_integral(fn, rho, t0, horizon, q: QuadratureConfig, weight=None):
-    """integral_{t0}^{H} weight(s) fn(rho, s) ds with panel Gauss-Legendre."""
-    n = max(64, int(math.ceil((horizon - t0) / q.mesh_spacing)))
-    boundaries = np.linspace(t0, horizon, n + 1)
-    spts, wts = _gauss_panels(boundaries, q.gauss_order)
-    flat = spts.ravel()
-    vals = np.asarray(fn(rho, flat), dtype=float)
-    if weight is not None:
-        vals = vals * weight(flat)
-    return float((wts.ravel() * vals).sum())
-
-
 def compute_rho2_entries(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho1,
                          rho, K, q: QuadratureConfig):
     """The five candidate radii whose max is rho2, plus tail-availability flags.
@@ -255,7 +243,9 @@ def compute_rho2_entries(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho1,
     K2 + sum(phij) + 2 sum(theta) + int Q Psi; |B1| + 2 sum(psi) + int Phi;
     |B2| + 2 sum(theta) + int Psi.  Sums are truncated at K and integrals at
     the horizon, each extended by its closed-form tail when available;
-    ``lower_estimate`` is True when some tail was unavailable.
+    ``lower_estimate`` is True when some tail was unavailable.  The four
+    integrals share one set of uniform Gauss panels on [t0, H] (at least
+    64, at most ``mesh_spacing`` wide) and one evaluation of each dominator.
     """
     K1 = boundary_weight_sup(p.boundary.A1, p.boundary.B1)
     K2 = boundary_weight_sup(p.boundary.A2, p.boundary.B2)
@@ -277,20 +267,26 @@ def compute_rho2_entries(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho1,
     s_phij = seq_sum(b.phij_seq, b.seq_tail_phij)
     s_theta = seq_sum(b.thetaj_seq, b.seq_tail_theta)
 
-    def integral(dom, tail, weighted):
+    n = max(64, int(math.ceil((q.horizon - p.t0) / q.mesh_spacing)))
+    spts, wts = _gauss_panels(np.linspace(p.t0, q.horizon, n + 1))
+    flat, w = spts.ravel(), wts.ravel()
+    phi = np.asarray(b.Phi(rho, flat), dtype=float)
+    psi = np.asarray(b.Psi(rho, flat), dtype=float)
+    weight = kernel_weight_sup(flat)
+
+    def integral(vals, tail):
         nonlocal lower_estimate
-        weight = kernel_weight_sup if weighted else None
-        total = _weighted_integral(dom, rho, p.t0, q.horizon, q, weight)
+        total = float((w * vals).sum())
         if tail is not None:
             total += float(tail(rho, q.horizon))
         else:
             lower_estimate = True
         return total
 
-    int_qphi = integral(b.Phi, b.tail_integral_f, weighted=True)
-    int_qpsi = integral(b.Psi, b.tail_integral_h, weighted=True)
-    int_phi = integral(b.Phi, b.tail_integral_f, weighted=False)
-    int_psi = integral(b.Psi, b.tail_integral_h, weighted=False)
+    int_qphi = integral(phi * weight, b.tail_integral_f)
+    int_qpsi = integral(psi * weight, b.tail_integral_h)
+    int_phi = integral(phi, b.tail_integral_f)
+    int_psi = integral(psi, b.tail_integral_h)
 
     entries = {
         "rho1": float(rho1),

@@ -112,9 +112,7 @@ def _write_manifest(out, args, qc=None, sc=None):
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if qc is not None:
-        manifest["quadrature_config"] = {
-            k: v for k, v in dataclasses.asdict(qc).items()
-            if not callable(v)}
+        manifest["quadrature_config"] = dataclasses.asdict(qc)
     if sc is not None:
         manifest["solver_config"] = {
             "max_iter": sc.max_iter, "tol": sc.tol, "damping": sc.damping,

@@ -30,6 +30,16 @@ __all__ = [
 _ENUM_CAP = 10_000_000
 
 
+class _ScheduleOrderError(ValueError):
+    """A schedule rule that fails to increase; ``index`` is the first k
+    whose rule(k) does not exceed rule(k - 1)."""
+
+    def __init__(self, k, value, prev):
+        self.index = k
+        super().__init__(f"schedule rule is not strictly increasing: rule({k}) = "
+                         f"{value!r} does not exceed rule({k - 1}) = {prev!r}")
+
+
 def _call_vectorized(fn, *arrays):
     """Call fn on numpy arrays, falling back to a scalar loop."""
     try:
@@ -84,7 +94,8 @@ class ImpulseSchedule:
     Either an explicit finite tuple ``points`` or a ``rule`` mapping the
     1-based index k to the k-th time.  Infinite schedules are enumerated
     lazily below any finite horizon; the enumeration always terminates
-    because the times diverge.
+    because the times diverge, and stops with a ValueError naming the index
+    at the first rule value that does not exceed its predecessor.
     """
 
     points: Optional[Sequence[float]] = None
@@ -120,8 +131,12 @@ class ImpulseSchedule:
         if self.points is not None:
             return np.asarray([p for p in self.points if p < horizon], dtype=float)
         out = []
+        prev = -np.inf
         for k in itertools.count(1):
             p = float(self.rule(k))
+            if not p > prev:  # also catches NaN
+                raise _ScheduleOrderError(k, p, prev)
+            prev = p
             if p >= horizon:
                 break
             out.append(p)
@@ -196,23 +211,22 @@ class ValidationReport:
 
 
 def _check_schedule(name, schedule, horizon, t0):
+    """(report entry, points below the horizon); no points when the
+    enumeration fails."""
     entry = {"name": f"{name}_schedule", "passed": True, "details": {}}
     try:
         pts = schedule.points_below(horizon)
     except Exception as exc:  # enumeration failure is a hard failure
         entry["passed"] = False
         entry["details"]["error"] = str(exc)
-        return entry
-    bad = np.nonzero(np.diff(pts) <= 0)[0]
-    if bad.size:
-        entry["passed"] = False
-        # 1-based index of the first offending point
-        entry["details"]["non_monotone_at_index"] = int(bad[0] + 2)
+        if isinstance(exc, _ScheduleOrderError):
+            entry["details"]["non_monotone_at_index"] = exc.index
+        return entry, np.zeros(0)
     entry["details"]["count_below_horizon"] = int(pts.size)
     skipped = pts[pts <= t0]
     if skipped.size:
         entry["details"]["points_at_or_below_t0"] = [float(p) for p in skipped]
-    return entry
+    return entry, pts
 
 
 def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
@@ -222,7 +236,8 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     impulse maps.
 
     Non-finite right-hand-side samples become report entries with the
-    offending location; a non-monotone schedule is a hard failure.  The
+    offending location; a non-monotone schedule is a hard failure, and its
+    impulse maps are not sampled.  Each schedule is enumerated once.  The
     report is deterministic for a fixed seed.
     """
     if horizon <= 0:
@@ -230,8 +245,9 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     rng = np.random.default_rng(seed)
     checks = []
 
-    checks.append(_check_schedule("u", p.u_schedule, horizon, p.t0))
-    checks.append(_check_schedule("v", p.v_schedule, horizon, p.t0))
+    entry_u, pts_u = _check_schedule("u", p.u_schedule, horizon, p.t0)
+    entry_v, pts_v = _check_schedule("v", p.v_schedule, horizon, p.t0)
+    checks += [entry_u, entry_v]
 
     lo = max(p.t0, 1e-6) if p.t0 > 0 else 0.0
     t = rng.uniform(lo, horizon, size=samples)
@@ -257,10 +273,10 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
         checks.append(entry)
 
     eps = 1e-6
-    for name, m, sched in (("I0", p.I0, p.u_schedule), ("I1", p.I1, p.u_schedule),
-                           ("J0", p.J0, p.v_schedule), ("J1", p.J1, p.v_schedule)):
+    for name, m, sched_pts in (("I0", p.I0, pts_u), ("I1", p.I1, pts_u),
+                               ("J0", p.J0, pts_v), ("J1", p.J1, pts_v)):
         entry = {"name": f"{name}_continuity", "passed": True, "details": {}}
-        pts = sched.points_below(horizon)[:20]
+        pts = sched_pts[:20]
         if pts.size:
             a = rng.uniform(-2.0, 2.0, size=pts.size) * (1.0 + pts)
             b = rng.uniform(-2.0, 2.0, size=pts.size)

@@ -37,7 +37,7 @@ fixed configuration, with or without a plan.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,6 +45,9 @@ from numpy.polynomial.legendre import leggauss
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, build_mesh,
                       norm_X)
 from .model import ImpulsiveCoupledBVP
+
+GAUSS_ORDER = 8        # Gauss-Legendre points per quadrature panel
+PANELS_PER_PIECE = 16  # least panels between consecutive impulse times
 
 __all__ = [
     "QuadratureConfig",
@@ -72,23 +75,20 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation, mesh, and quadrature parameters.
+    """Truncation and mesh parameters.
 
-    ``tail_bound_fn`` (and ``tail_bound_fn_h``) map t to an upper bound of
-    the integrable dominator's tail integral past t; alternatively, set
-    ``bound_rho`` to pull tail bounds out of the problem's attached
-    Caratheodory bounds at that radius.  Without either, tails are
+    The quadrature rule is fixed: ``GAUSS_ORDER``-point Gauss-Legendre on
+    panels that contain the mesh grid, with at least ``PANELS_PER_PIECE``
+    panels between consecutive impulse times.  Tail bounds come only from
+    the problem's Caratheodory bounds at radius ``bound_rho`` (and bound
+    only on that ball); without ``bound_rho`` or bounds, tails are
     estimated by geometric extrapolation of the observed decay and flagged
     when the estimate exceeds ``abs_tol``.
     """
 
     horizon: float = 40.0
     mesh_spacing: float = 0.01
-    panels_per_piece: int = 16
-    gauss_order: int = 8
     abs_tol: float = 1e-8
-    tail_bound_fn: Optional[Callable[[float], float]] = None
-    tail_bound_fn_h: Optional[Callable[[float], float]] = None
     bound_rho: Optional[float] = None
 
     def __post_init__(self):
@@ -139,23 +139,23 @@ def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
     return mu, mv
 
 
-def _gauss_panels(breaks, order):
-    """Gauss-Legendre points/weights per panel: arrays (npanels, order)."""
-    xg, wg = leggauss(order)
+def _gauss_panels(breaks):
+    """Gauss-Legendre points/weights per panel: arrays (npanels, GAUSS_ORDER)."""
+    xg, wg = leggauss(GAUSS_ORDER)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * np.diff(breaks)
     return mid[:, None] + half[:, None] * xg[None, :], half[:, None] * wg[None, :]
 
 
-def _refined_boundaries(grid, hard, panels_per_piece):
+def _refined_boundaries(grid, hard):
     """Panel boundaries: the given grid, with every piece between hard
-    breakpoints holding at least ``panels_per_piece`` panels."""
+    breakpoints holding at least ``PANELS_PER_PIECE`` panels."""
     pieces = np.unique(np.concatenate(([grid[0]], hard, [grid[-1]])))
     a, b = pieces[:-1], pieces[1:]
     inside = (np.searchsorted(grid, b, side="left")
               - np.searchsorted(grid, a, side="right"))
-    short = inside + 1 < panels_per_piece
-    extra = np.linspace(a[short], b[short], panels_per_piece + 1)
+    short = inside + 1 < PANELS_PER_PIECE
+    extra = np.linspace(a[short], b[short], PANELS_PER_PIECE + 1)
     return np.union1d(grid, extra.ravel())
 
 
@@ -170,18 +170,15 @@ def _geometric_tail(chunks):
     return last * r / (1.0 - r)
 
 
-def _integral_tail(q, rhs_side, bounds, moments, boundaries, horizon, in_ball):
+def _integral_tail(q, tail, moments, boundaries, in_ball):
     """(estimate, is_bound, warn) for the integral tail past the horizon.
 
+    ``tail`` is the problem's closed-form tail (rho, t) -> bound, or None;
     ``in_ball`` says whether the iterate lies in the ``bound_rho``-ball, the
-    only place where the problem's Caratheodory tails bound anything."""
-    fn = q.tail_bound_fn if rhs_side == "f" else q.tail_bound_fn_h
-    if fn is not None:
-        return float(fn(horizon)), True, False
-    if q.bound_rho is not None and bounds is not None:
-        tail = bounds.tail_integral_f if rhs_side == "f" else bounds.tail_integral_h
-        if tail is not None:
-            return float(tail(q.bound_rho, horizon)), in_ball, False
+    only place where that tail bounds anything."""
+    horizon = q.horizon
+    if tail is not None:
+        return float(tail(q.bound_rho, horizon)), in_ball, False
     # decay heuristic on |panel mass| over the last two quarters of the range
     t0 = boundaries[0]
     mids = 0.5 * (boundaries[1:] + boundaries[:-1])
@@ -194,19 +191,18 @@ def _integral_tail(q, rhs_side, bounds, moments, boundaries, horizon, in_ball):
     return est, False, bool(est > q.abs_tol)
 
 
-def _impulse_tail(q, bounds, schedule, seq_names, c_abs, horizon, in_ball):
-    """(estimate, is_bound) for the impulse sums cut at the horizon."""
+def _impulse_tail(q, schedule, tail0, tail1, c_abs, in_ball):
+    """(estimate, is_bound) for the impulse sums cut at the horizon;
+    ``tail0``/``tail1`` are the problem's sequence tails (rho, K) -> bound
+    of the value and derivative jumps, or None."""
     if schedule.points is not None:
         pts = np.asarray(schedule.points, dtype=float)
-        if pts.size == 0 or pts.max() < horizon:
+        if pts.size == 0 or pts.max() < q.horizon:
             return 0.0, True  # finite schedule fully inside: nothing discarded
-    if q.bound_rho is not None and bounds is not None:
-        tail0 = getattr(bounds, seq_names[0])
-        tail1 = getattr(bounds, seq_names[1])
-        if tail0 is not None and tail1 is not None:
-            K = c_abs[0].size
-            return (float(tail0(q.bound_rho, K))
-                    + 2.0 * float(tail1(q.bound_rho, K))), in_ball
+    if tail0 is not None and tail1 is not None:
+        K = c_abs[0].size
+        return (float(tail0(q.bound_rho, K))
+                + 2.0 * float(tail1(q.bound_rho, K))), in_ball
     # decay heuristic on the evaluated jump magnitudes
     est = 0.0
     for c, weight in zip(c_abs, (1.0, 2.0)):
@@ -317,10 +313,12 @@ class OperatorPlan:
     every iterate on those meshes.
 
     Holds the panel boundaries (the union of both grids, refined so every
-    piece between impulse times has ``panels_per_piece`` panels), the
+    piece between impulse times has ``PANELS_PER_PIECE`` panels), the
     Gauss points and weights, and per component a :class:`_MeshPlan` with
     the schedule points, the Hermite gathers and weights at the Gauss
-    points and the slot bookkeeping of the assembly.
+    points and the slot bookkeeping of the assembly.  When both meshes
+    have the same layout and schedule points, ``u`` and ``v`` are one
+    object.
     """
 
     problem: ImpulsiveCoupledBVP
@@ -341,13 +339,13 @@ class OperatorPlan:
         if u_mesh.horizon != q.horizon:
             raise ValueError("iterate horizon does not match the quadrature config")
         hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
-        boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid),
-                                         hard, q.panels_per_piece)
-        spts, wts = _gauss_panels(boundaries, q.gauss_order)
-        return OperatorPlan(
-            problem=p, config=q, boundaries=boundaries, spts=spts, wts=wts,
-            u=_MeshPlan.build(u_mesh, pts_u, boundaries, spts),
-            v=_MeshPlan.build(v_mesh, pts_v, boundaries, spts))
+        boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
+        spts, wts = _gauss_panels(boundaries)
+        u = _MeshPlan.build(u_mesh, pts_u, boundaries, spts)
+        same = v_mesh.same_layout(u_mesh) and np.array_equal(pts_v, pts_u)
+        v = u if same else _MeshPlan.build(v_mesh, pts_v, boundaries, spts)
+        return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
+                            wts=wts, u=u, v=v)
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""
@@ -378,8 +376,9 @@ def _moments(spts, wts, rvals):
 
 
 def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
-    """Assemble one operator component on its output mesh."""
-    nodes = mp.mesh.nodes
+    """Assemble one operator component on the iterate's mesh."""
+    mesh = x_self.mesh
+    nodes = mesh.nodes
     sched_pts = mp.sched_pts
     if sched_pts.size:
         a_left, b_left = x_self.values[mp.lo], x_self.derivs[mp.lo]
@@ -399,7 +398,7 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
     S1 = prefix1[-1]
     total0 = C0[-1]
 
-    grid = mp.mesh.grid
+    grid = mesh.grid
     gidx = mp.gidx
     ival_grid = -(C1[gidx] + grid * (total0 - C0[gidx]))
     ider_grid = -(total0 - C0[gidx])
@@ -415,7 +414,7 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
     values[mp.hi] = values[mp.lo] + c0
     derivs[mp.hi] = derivs[mp.lo] + c1
 
-    out = PiecewiseC1Function(mesh=mp.mesh, values=values, derivs=derivs,
+    out = PiecewiseC1Function(mesh=mesh, values=values, derivs=derivs,
                               tail_slope=float(B))
     return out, c0, c1
 
@@ -445,15 +444,15 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
                                        s.v, plan.v, C0h, C1h)
 
-    in_ball = q.bound_rho is None or norm_X(s) <= q.bound_rho
-    tf, bf, wf = _integral_tail(q, "f", p.bounds, m0f, boundaries, q.horizon, in_ball)
-    th, bh, wh = _integral_tail(q, "h", p.bounds, m0h, boundaries, q.horizon, in_ball)
-    iu, ibu = _impulse_tail(q, p.bounds, p.u_schedule,
-                            ("seq_tail_phi", "seq_tail_psi"),
-                            (np.abs(c0u), np.abs(c1u)), q.horizon, in_ball)
-    iv, ibv = _impulse_tail(q, p.bounds, p.v_schedule,
-                            ("seq_tail_phij", "seq_tail_theta"),
-                            (np.abs(c0v), np.abs(c1v)), q.horizon, in_ball)
+    # the problem's Caratheodory tails at bound_rho are the only tail bounds
+    b = p.bounds if q.bound_rho is not None else None
+    in_ball = b is not None and norm_X(s) <= q.bound_rho
+    tf, bf, wf = _integral_tail(q, b and b.tail_integral_f, m0f, boundaries, in_ball)
+    th, bh, wh = _integral_tail(q, b and b.tail_integral_h, m0h, boundaries, in_ball)
+    iu, ibu = _impulse_tail(q, p.u_schedule, b and b.seq_tail_phi, b and b.seq_tail_psi,
+                            (np.abs(c0u), np.abs(c1u)), in_ball)
+    iv, ibv = _impulse_tail(q, p.v_schedule, b and b.seq_tail_phij, b and b.seq_tail_theta,
+                            (np.abs(c0v), np.abs(c1v)), in_ball)
     report_u = TruncationReport(integral_tail_estimate=tf,
                                 impulse_tail_estimate=iu,
                                 K_used=int(plan.u.sched_pts.size),
@@ -470,27 +469,20 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
 def semiinfinite_integral(g, t, q: QuadratureConfig, t0=0.0, breakpoints=()):
     """integral_{t0}^{H} G(t, s) g(s) ds by composite Gauss-Legendre.
 
-    Panels never straddle the kernel kink at s = t or any of the supplied
-    breakpoints (impulse times of the integrand's arguments).  The tail
-    past the horizon is NOT added; it is the caller's to account for.
+    The panels are the operator's: a ``mesh_spacing`` grid split at the
+    kernel kink s = t and at the supplied breakpoints (impulse times of the
+    integrand's arguments), refined to ``PANELS_PER_PIECE`` panels per
+    piece, so no panel straddles a jump.  ``g`` is vectorized over s.  The
+    tail past the horizon is NOT added; it is the caller's to account for.
     """
     H = q.horizon
     if not 0.0 <= t0 < H:
         raise ValueError("need 0 <= t0 < horizon")
-    hard = [float(b) for b in breakpoints if t0 < b < H]
-    if t0 < t < H:
-        hard.append(float(t))
-    hard = np.asarray(sorted(set(hard)), dtype=float)
-    pieces = np.concatenate(([t0], hard, [H]))
-    boundaries = np.unique(pieces)
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        n = max(q.panels_per_piece, int(math.ceil((b - a) / max(q.mesh_spacing, 1e-12))))
-        boundaries = np.union1d(boundaries, np.linspace(a, b, n + 1))
-    spts, wts = _gauss_panels(boundaries, q.gauss_order)
+    # build_mesh keeps the breaks inside (t0, H), sorted, as impulse_times
+    mesh = build_mesh(t0, H, np.union1d(breakpoints, [t]), q.mesh_spacing)
+    spts, wts = _gauss_panels(_refined_boundaries(mesh.grid, mesh.impulse_times))
     flat = spts.ravel()
-    gv = np.asarray(g(flat), dtype=float)
-    if gv.shape != flat.shape:
-        gv = np.array([float(g(ss)) for ss in flat])
+    gv = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape)
     bad = ~np.isfinite(gv)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])

@@ -225,12 +225,12 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     return best, diag
 
 
-def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair, order=8):
+def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair):
     """(integral_{t0}^{H} f ds, integral_{t0}^{H} h ds) with the arguments
     (s, u, v, u', v') on the union of both grids, from one evaluation of
     u, v, u', v' at the Gauss points."""
     boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
-    spts, wts = _gauss_panels(boundaries, order)
+    spts, wts = _gauss_panels(boundaries)
     flat = spts.ravel()
     w = wts.ravel()
     args = (flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
@@ -254,16 +254,19 @@ def _ode_residual(fn, x, s: SolutionPair):
 
 
 def _jump_residuals(x, m0, m1):
+    """(value-jump residual, derivative-jump residual, sum of the wanted
+    derivative jumps) over x's impulse nodes."""
     pts = x.mesh.impulse_times
     if pts.size == 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     a, b = x.left_limits_at(pts)
     want0 = np.atleast_1d(m0(pts, a, b))
     want1 = np.atleast_1d(m1(pts, a, b))
     got = x.jump_registry
     dv = np.asarray([j[1] for j in got])
     dd = np.asarray([j[2] for j in got])
-    return float(np.max(np.abs(dv - want0))), float(np.max(np.abs(dd - want1)))
+    return (float(np.max(np.abs(dv - want0))), float(np.max(np.abs(dd - want1))),
+            float(np.sum(want1)))
 
 
 def verify_residuals(p: ImpulsiveCoupledBVP, s: SolutionPair) -> ResidualReport:
@@ -276,21 +279,11 @@ def verify_residuals(p: ImpulsiveCoupledBVP, s: SolutionPair) -> ResidualReport:
     res_u = _ode_residual(p.f, s.u, s)
     res_v = _ode_residual(p.h, s.v, s)
 
-    j_i0, j_i1 = _jump_residuals(s.u, p.I0, p.I1)
-    j_j0, j_j1 = _jump_residuals(s.v, p.J0, p.J1)
+    j_i0, j_i1, s1u = _jump_residuals(s.u, p.I0, p.I1)
+    j_j0, j_j1, s1v = _jump_residuals(s.v, p.J0, p.J1)
 
     t0 = s.u.mesh.t0
     int_f, int_h = _plain_rhs_integrals(p, s)
-
-    def _deriv_jump_sum(x, m1):
-        pts = x.mesh.impulse_times
-        if pts.size == 0:
-            return 0.0
-        a, b = x.left_limits_at(pts)
-        return float(np.sum(np.atleast_1d(m1(pts, a, b))))
-
-    s1u = _deriv_jump_sum(s.u, p.I1)
-    s1v = _deriv_jump_sum(s.v, p.J1)
     anchor_u = p.boundary.A1 + p.boundary.B1 * t0 - t0 * (s1u + int_f)
     anchor_v = p.boundary.A2 + p.boundary.B2 * t0 - t0 * (s1v + int_h)
     boundary = (

@@ -220,3 +220,71 @@ def test_run_audit_json_roundtrip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["all_pass"] is True
     assert doc["rho2"] == 1.0
+
+
+def _weighted_integral_four_pass(fn, rho, t0, horizon, q, weight=None):
+    """Reference: integral_{t0}^{H} weight(s) fn(rho, s) ds, with its own
+    panels and its own evaluation of the dominator per integral."""
+    import math
+    from impulsebvp.operator import _gauss_panels
+    n = max(64, int(math.ceil((horizon - t0) / q.mesh_spacing)))
+    boundaries = np.linspace(t0, horizon, n + 1)
+    spts, wts = _gauss_panels(boundaries)
+    flat = spts.ravel()
+    vals = np.asarray(fn(rho, flat), dtype=float)
+    if weight is not None:
+        vals = vals * weight(flat)
+    return float((wts.ravel() * vals).sum())
+
+
+def _rho2_entries_four_pass(p, b, rho1, rho, K, q):
+    """Reference for compute_rho2_entries: one panel build and one
+    dominator evaluation per integral."""
+    from impulsebvp.kernel import boundary_weight_sup, kernel_weight_sup
+    k = np.arange(1, K + 1, dtype=float)
+
+    def seq_sum(seq, tail):
+        total = float(np.sum(np.asarray(seq(rho, k), dtype=float)))
+        return total if tail is None else total + float(tail(rho, K))
+
+    def integral(dom, tail, weight):
+        total = _weighted_integral_four_pass(dom, rho, p.t0, q.horizon, q, weight)
+        return total if tail is None else total + float(tail(rho, q.horizon))
+
+    s_psi = seq_sum(b.psi_seq, b.seq_tail_psi)
+    s_theta = seq_sum(b.thetaj_seq, b.seq_tail_theta)
+    return {
+        "rho1": float(rho1),
+        "u_weighted": (boundary_weight_sup(p.boundary.A1, p.boundary.B1)
+                       + seq_sum(b.phi_seq, b.seq_tail_phi) + 2.0 * s_psi
+                       + integral(b.Phi, b.tail_integral_f, kernel_weight_sup)),
+        "v_weighted": (boundary_weight_sup(p.boundary.A2, p.boundary.B2)
+                       + seq_sum(b.phij_seq, b.seq_tail_phij) + 2.0 * s_theta
+                       + integral(b.Psi, b.tail_integral_h, kernel_weight_sup)),
+        "u_deriv": (abs(p.boundary.B1) + 2.0 * s_psi
+                    + integral(b.Phi, b.tail_integral_f, None)),
+        "v_deriv": (abs(p.boundary.B2) + 2.0 * s_theta
+                    + integral(b.Psi, b.tail_integral_h, None)),
+    }
+
+
+def test_rho2_entries_match_the_four_pass_integrals():
+    from impulsebvp.problemfile import load_problem
+    pend = build_pendulum_problem(PendulumParams())
+    doc = {"t0": 0.5, "boundary": {"A1": 1.0, "A2": -0.5, "B1": 0.25, "B2": 0.75},
+           "bounds": {"Phi": {"name": "constant", "params": {"value": 0.3,
+                                                             "rho_power": 1.0}},
+                      "Psi": {"name": "exp_decay", "params": {"amplitude": 2.0,
+                                                              "rate": 0.5}},
+                      "phi_seq": {"name": "power", "params": {"c": 0.5, "power": 3.0}},
+                      "psi_seq": {"name": "zero"},
+                      "phij_seq": {"name": "zero"},
+                      "thetaj_seq": {"name": "power", "params": {"c": 0.1,
+                                                                 "power": 2.0}}}}
+    filed = load_problem(doc)
+    cases = ((pend, QuadratureConfig(horizon=40.0, mesh_spacing=0.01), False),
+             (filed, QuadratureConfig(horizon=12.0, mesh_spacing=0.05), True))
+    for p, qc, want_lower in cases:
+        entries, lower = compute_rho2_entries(p, p.bounds, rho1=0.5, rho=1.5, K=30, q=qc)
+        assert entries == _rho2_entries_four_pass(p, p.bounds, 0.5, 1.5, 30, qc)
+        assert lower == want_lower

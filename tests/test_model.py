@@ -109,6 +109,28 @@ def test_validate_monotonicity_failure_index():
     assert entry["details"]["non_monotone_at_index"] == 2
 
 
+
+def test_non_increasing_rule_fails_fast_with_its_index():
+    calls = []
+
+    def constant(k):
+        calls.append(k)
+        return 1.0
+
+    s = ImpulseSchedule(rule=constant)
+    with pytest.raises(ValueError, match=r"rule\(2\) = 1\.0 does not exceed rule\(1\)"):
+        s.points_below(10.0)
+    assert len(calls) <= 2
+    nan_rule = ImpulseSchedule(rule=lambda k: float(k) if k < 3 else float("nan"))
+    with pytest.raises(ValueError, match=r"rule\(3\) = nan"):
+        nan_rule.points_below(10.0)
+    import dataclasses
+    report = validate_problem(dataclasses.replace(empty_problem(), u_schedule=s), 10.0)
+    entry = report.entries("u_schedule")[0]
+    assert not report.passed and entry["details"]["non_monotone_at_index"] == 2
+    assert len(calls) <= 4  # one enumeration per schedule in validate_problem
+
+
 def test_validate_is_deterministic_for_fixed_seed():
     p = build_pendulum_problem(PendulumParams())
     r1 = validate_problem(p, 15.0, seed=5)

@@ -172,6 +172,16 @@ def test_semiinfinite_integral_with_interior_jump():
     assert got == pytest.approx(exact, abs=1e-10)
 
 
+def test_semiinfinite_integral_splits_panels_at_the_kernel_kink():
+    # g = 1: the integrand -min(t, s) is piecewise linear, exact on panels
+    # split at s = t, also when t is not a grid node
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=1.0)
+    for t in (0.0, 2.013, 7.77, 10.0):
+        exact = -(0.5 * t * t + t * (10.0 - t))
+        got = semiinfinite_integral(lambda s: np.ones_like(s), t, qc)
+        assert got == pytest.approx(exact, abs=1e-12)
+
+
 def test_semiinfinite_integral_reports_nonfinite_location():
     qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
     with pytest.raises(EvaluationError):
@@ -249,9 +259,9 @@ def test_impulses_clustered_below_horizon():
 
 
 def test_coarse_mesh_still_integrates_accurately():
-    # panels_per_piece keeps the quadrature sharp even on a crude mesh
+    # PANELS_PER_PIECE keeps the quadrature sharp even on a crude mesh
     p = make_problem(f=rhs(lambda t, x, y, z, w: np.exp(-t), "exp_decay"))
-    qc = QuadratureConfig(horizon=40.0, mesh_spacing=5.0, panels_per_piece=16)
+    qc = QuadratureConfig(horizon=40.0, mesh_spacing=5.0)
     s = initial_pair(p, qc, "zero")
     out = apply_T(p, s, qc)[0].u
     t = out.mesh.nodes
@@ -259,11 +269,14 @@ def test_coarse_mesh_still_integrates_accurately():
 
 
 def test_integral_tail_bound_fn_is_used_verbatim():
+    from impulsebvp.audit import CaratheodoryBounds
+    # the problem's closed-form f tail at bound_rho is reported as is; h = 0
+    # with a zero tail, so the merged report is f's
+    bounds = dataclasses.replace(CaratheodoryBounds.zero(),
+                                 tail_integral_f=lambda rho, t: float(np.exp(-t)))
     p = make_problem(f=rhs(lambda t, x, y, z, w: np.exp(-t), "exp_decay"))
-    # h = 0: its tail is exactly zero, so the merged report is f's
-    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1,
-                          tail_bound_fn=lambda t: float(np.exp(-t)),
-                          tail_bound_fn_h=lambda t: 0.0)
+    p = dataclasses.replace(p, bounds=bounds)
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1, bound_rho=1.0)
     s = initial_pair(p, qc, "zero")
     _, rep = apply_T(p, s, qc)
     assert rep.integral_tail_estimate == pytest.approx(np.exp(-10.0))
@@ -369,7 +382,7 @@ def _dense_impulse_problem(seed):
 
 
 def test_refined_boundaries_match_the_per_piece_loop():
-    from impulsebvp.operator import _refined_boundaries
+    from impulsebvp.operator import PANELS_PER_PIECE, _refined_boundaries
     from impulsebvp.problemfile import load_problem
     lin = {"name": "linear", "params": {"c0": 1e-3, "ca": 1e-5, "cb": 1e-4}}
     k2000 = {"t0": 0.0, "boundary": {"A1": 1.0, "A2": 0.5, "B1": 0.5, "B2": 0.25},
@@ -387,20 +400,25 @@ def test_refined_boundaries_match_the_per_piece_loop():
         mu, mv = problem_meshes(p, qc)
         grid = np.union1d(mu.grid, mv.grid)
         hard = np.union1d(mu.impulse_times, mv.impulse_times)
-        want = _refined_boundaries_loop(grid, hard, qc.panels_per_piece)
-        got = _refined_boundaries(grid, hard, qc.panels_per_piece)
+        want = _refined_boundaries_loop(grid, hard, PANELS_PER_PIECE)
+        got = _refined_boundaries(grid, hard)
         assert np.array_equal(got, want)
+
+
+def _criterion04_problem():
+    """The acceptance suite's criterion-04 configuration (spacing 0.02)."""
+    return make_problem(
+        f=rhs(lambda t, x, y, z, w: np.exp(-t) * (1 + 0.2 * np.cos(x))),
+        boundary=(1.25, 0.0, -0.75, 0.0), u_points=(1.0, 2.5, 4.0),
+        I0=ImpulseMap(lambda pp, a, b: 0.1 * a, "lin"),
+        I1=ImpulseMap(lambda pp, a, b: 0.05 * b, "lin"))
 
 
 def test_plan_interpolation_is_bitwise_the_function_evaluation():
     from impulsebvp.audit import sample_ball_pair
     from impulsebvp.operator import OperatorPlan
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
-    crit04 = make_problem(
-        f=rhs(lambda t, x, y, z, w: np.exp(-t) * (1 + 0.2 * np.cos(x))),
-        boundary=(1.25, 0.0, -0.75, 0.0), u_points=(1.0, 2.5, 4.0),
-        I0=ImpulseMap(lambda pp, a, b: 0.1 * a, "lin"),
-        I1=ImpulseMap(lambda pp, a, b: 0.05 * b, "lin"))
+    crit04 = _criterion04_problem()
     pend = build_pendulum_problem(PendulumParams())
     dense = _dense_impulse_problem(1)
     on_node = []
@@ -475,3 +493,43 @@ def test_build_mesh_runs_twice_per_solve_and_per_ball_audit(monkeypatch):
                                       sample_radius=0.5)
     assert tested == 4
     assert len(calls) == 2
+
+
+def test_operator_matches_the_pointwise_representation():
+    # T1(u,v)(t) = A1 + B1 t + sum_{t_k < t} [I0k + I1k (t - t_k)]
+    #              - t sum_k I1k + int_{t0}^{H} G(t, s) f(s, u, v, u', v') ds
+    from impulsebvp.audit import sample_ball_pair
+    for p, spacing in ((_criterion04_problem(), 0.02), (_dense_impulse_problem(1), 0.01)):
+        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
+        s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(11))
+        out = apply_T(p, s, qc)[0].u
+        breaks = np.union1d(s.u.mesh.impulse_times, s.v.mesh.impulse_times)
+        f_of_s = lambda ss: p.f(ss, s.u(ss), s.v(ss), s.u.deriv(ss), s.v.deriv(ss))
+        grid = out.mesh.grid
+        for t in grid[np.linspace(0, grid.size - 1, 7).astype(int)]:
+            partial, full = impulse_sums(p.u_schedule, p.I0, p.I1, s.u, t, qc.horizon)
+            want = (p.boundary.A1 + p.boundary.B1 * t + partial - t * full
+                    + semiinfinite_integral(f_of_s, t, qc, t0=p.t0, breakpoints=breaks))
+            assert abs(out(t) - want) <= 1e-11
+
+
+def test_plan_shares_one_mesh_plan_between_identical_meshes():
+    from impulsebvp.audit import sample_ball_pair
+    from impulsebvp.operator import OperatorPlan, _MeshPlan
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    pend = build_pendulum_problem(PendulumParams())
+    for p, shared in ((pend, True), (_criterion04_problem(), False)):
+        qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
+        s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(5),
+                             u_floor=p.bounds.u_floor if p.bounds else None)
+        plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+        assert (plan.v is plan.u) == shared
+        image, _ = apply_T(p, s, qc, plan)
+        # outputs live on the iterate's own meshes
+        assert image.u.mesh is s.u.mesh and image.v.mesh is s.v.mesh
+        separate = dataclasses.replace(plan, v=_MeshPlan.build(
+            s.v.mesh, plan.v.sched_pts, plan.boundaries, plan.spts))
+        again, _ = apply_T(p, s, qc, separate)
+        for a, b in ((image.u, again.u), (image.v, again.v)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.derivs, b.derivs)

@@ -89,7 +89,7 @@ def test_affine_operator_contraction_matches_analytic_factor():
     # analytic factor by quadrature oracle
     from impulsebvp.operator import _gauss_panels
     bnd = np.linspace(0.0, 40.0, 4001)
-    spts, wts = _gauss_panels(bnd, 8)
+    spts, wts = _gauss_panels(bnd)
     c = (mass / (width * math.sqrt(2 * math.pi))) * np.exp(
         -0.5 * ((spts - center) / width) ** 2)
     analytic = float((wts * (spts / (1 + spts)) * c).sum())
@@ -167,6 +167,21 @@ def test_verify_residuals_affine_zero_rhs():
     rr = verify_residuals(p, pair)
     assert rr.ode_residual_sup == (0.0, 0.0)
     assert rr.boundary_residuals == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_verify_residuals_left_anchor_uses_the_derivative_jumps():
+    # with t0 > 0 the left anchor is A + B t0 - t0 (sum I1 + int f); value
+    # and derivative jumps differ, so swapping them would show
+    const = lambda c: ImpulseMap(lambda pp, a, b: np.full_like(pp, c), "const")
+    p = simple_problem(boundary=(1.0, 0.0, 0.5, 0.0), t0=0.5,
+                       u_schedule=ImpulseSchedule(points=(1.0, 2.0)),
+                       I0=const(0.3), I1=const(-0.2))
+    qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.05)
+    pair, diag = solve(p, SolverConfig(), qc)
+    assert diag.converged
+    rr = verify_residuals(p, pair)
+    assert rr.boundary_residuals[0] < 1e-14
+    assert pair.u(0.5) == pytest.approx(1.0 + 0.5 * 0.5 - 0.5 * 2 * -0.2, abs=1e-14)
 
 
 def test_verify_residuals_detects_corrupted_jump():
@@ -283,12 +298,12 @@ def test_ode_residual_matches_the_per_piece_loop():
             assert _ode_residual(fn, x, s) == _ode_residual_loop(fn, x, s)
 
 
-def _plain_rhs_integral_two_pass(rhs, s, order=8):
+def _plain_rhs_integral_two_pass(rhs, s):
     """Reference: one integral per right-hand side, each with its own
     panels and its own evaluation of u, v, u', v'."""
     from impulsebvp.operator import _gauss_panels
     boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
-    spts, wts = _gauss_panels(boundaries, order)
+    spts, wts = _gauss_panels(boundaries)
     flat = spts.ravel()
     vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
     return float((wts.ravel() * vals).sum())
