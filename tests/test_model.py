@@ -109,7 +109,6 @@ def test_validate_monotonicity_failure_index():
     assert entry["details"]["non_monotone_at_index"] == 2
 
 
-
 def test_non_increasing_rule_fails_fast_with_its_index():
     calls = []
 

@@ -406,7 +406,7 @@ def test_refined_boundaries_match_the_per_piece_loop():
 
 
 def _criterion04_problem():
-    """The acceptance suite's criterion-04 configuration (spacing 0.02)."""
+    """The problem of acceptance criterion 04 (run there at spacing 0.02)."""
     return make_problem(
         f=rhs(lambda t, x, y, z, w: np.exp(-t) * (1 + 0.2 * np.cos(x))),
         boundary=(1.25, 0.0, -0.75, 0.0), u_points=(1.0, 2.5, 4.0),
