@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 input or evaluation error,
 2 reported non-convergence, 3 hypothesis-audit failure.  Every run writes
-a manifest (problem source, resolved configuration, seed, tool version)
-next to its outputs; re-running with the same manifest reproduces the data
-files bit-for-bit (the manifest itself carries the only timestamp).
+a manifest (problem source, resolved configuration, seed, tool version,
+Python, numpy and platform versions) next to its outputs; re-running with
+the same manifest reproduces the data files bit-for-bit (the manifest
+itself carries the only timestamp).
 """
 
 import argparse
@@ -12,6 +13,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -101,6 +103,17 @@ def _resolve(args):
     return p, qc
 
 
+def _environment():
+    """Python, numpy and platform versions: the bits of the results rest on
+    numpy's reduction order and its SIMD math functions, which can differ
+    between builds and CPUs.  (platform.platform() is not used: it runs
+    `uname -p` in a subprocess and reads the interpreter binary.)"""
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": "-".join((platform.system(), platform.release(),
+                                  platform.machine()))}
+
+
 def _write_manifest(out, args, qc=None, sc=None):
     resolved = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = {
@@ -110,6 +123,7 @@ def _write_manifest(out, args, qc=None, sc=None):
         "seed": args.seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
     }
     if qc is not None:
         manifest["quadrature_config"] = dataclasses.asdict(qc)
@@ -142,7 +156,7 @@ def _side_rows(pair):
     side[first[reps == 2] + 1] = "+"
     cols = [t, side]
     for fn in (u, v):
-        val, der = fn(t), fn.deriv(t)
+        val, der = fn.value_and_deriv(t)
         d = fn.mesh.doubled_nodes()
         plus = first[np.searchsorted(times, fn.mesh.grid[d])] + 1
         val[plus] = fn.values[fn.mesh.right_slot[d]]
@@ -151,19 +165,28 @@ def _side_rows(pair):
     return cols
 
 
+# per-row templates by side label; the CSV rows are what csv.writer makes of
+# (repr(t), side, repr(u), ...), and gnuplot breaks the .dat polyline at the
+# blank line before a '+' row
+_CSV_ROW = {s: f"%r,{s},%r,%r,%r,%r\r\n" for s in ("", "-", "+")}
+_DAT_ROW = {s: ("\n" if s == "+" else "") + "%.17g %.17g %.17g %.17g %.17g\n"
+            for s in ("", "-", "+")}
+_BLOCK_ROWS = 2048  # rows formatted per '%': bounds the text held at once
+
+
 def _write_solution(out, pair, gnuplot_script=False):
-    t, side, uu, du, vv, dv = (c.tolist() for c in _side_rows(pair))
-    with open(out / "solution.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "side", "u", "u_deriv", "v", "v_deriv"])
-        w.writerows(zip(map(repr, t), side, map(repr, uu), map(repr, du),
-                        map(repr, vv), map(repr, dv)))
-    with open(out / "solution.dat", "w") as fh:
-        fh.write("# t u u_deriv v v_deriv\n")
-        # blank line before a '+' row: gnuplot breaks the polyline at jumps
-        line = "{}{:.17g} {:.17g} {:.17g} {:.17g} {:.17g}\n".format
-        fh.writelines(line("\n" if s == "+" else "", a, b, c, d, e)
-                      for a, s, b, c, d, e in zip(t, side, uu, du, vv, dv))
+    cols = _side_rows(pair)
+    side = cols.pop(1).tolist()
+    data = np.column_stack(cols)  # rows (t, u, u', v, v')
+    with open(out / "solution.csv", "w", newline="") as fc, \
+            open(out / "solution.dat", "w") as fd:
+        fc.write("t,side,u,u_deriv,v,v_deriv\r\n")
+        fd.write("# t u u_deriv v v_deriv\n")
+        for a in range(0, len(side), _BLOCK_ROWS):
+            sides = side[a:a + _BLOCK_ROWS]
+            vals = tuple(data[a:a + _BLOCK_ROWS].ravel().tolist())
+            fc.write("".join([_CSV_ROW[s] for s in sides]) % vals)
+            fd.write("".join([_DAT_ROW[s] for s in sides]) % vals)
     if gnuplot_script:
         with open(out / "solution.gp", "w") as fh:
             fh.write('set xlabel "t"\n'

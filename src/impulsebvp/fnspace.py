@@ -156,28 +156,24 @@ class PiecewiseC1Function:
                          (self.values[hi] - self.values[lo]).tolist(),
                          (self.derivs[hi] - self.derivs[lo]).tolist()))
 
-    def _locate(self, t):
-        """Map query times to (interval index, exact-node mask, node index)."""
-        grid = self.mesh.grid
-        pos = np.searchsorted(grid, t, side="left")
-        inside = pos < grid.size
-        exact = np.zeros(t.shape, dtype=bool)
-        exact[inside] = grid[np.minimum(pos[inside], grid.size - 1)] == t[inside]
-        return pos, exact
-
     def __call__(self, t):
         """Evaluate values at times t (left-continuous at impulse points)."""
-        return self._eval(t, derivative=False)
+        return self._eval(t, value=True, deriv=False)[0]
 
     def deriv(self, t):
         """Evaluate the tracked first derivative at times t."""
-        return self._eval(t, derivative=True)
+        return self._eval(t, value=False, deriv=True)[0]
 
-    def _eval(self, t, derivative):
+    def value_and_deriv(self, t):
+        """``(x(t), x'(t))`` from one locate-and-gather pass, bit for bit
+        what ``x(t)`` and ``x.deriv(t)`` return."""
+        return self._eval(t, value=True, deriv=True)
+
+    def _eval(self, t, value, deriv):
+        """[x(t)] if value, then [x'(t)] if deriv."""
         t_in = np.asarray(t, dtype=float)
         t = np.atleast_1d(t_in)
-        mesh = self.mesh
-        grid = mesh.grid
+        grid = self.mesh.grid
         bad = ~np.isfinite(t)
         if np.any(bad):
             first = np.argwhere(bad)[0]
@@ -185,51 +181,61 @@ class PiecewiseC1Function:
             raise ValueError(f"non-finite query time {t[tuple(first)]} at index {where}")
         if np.any(t < grid[0]):
             raise ValueError(f"evaluation below the working domain start t0={grid[0]}")
-        out = np.empty(t.shape, dtype=float)
 
+        # points past the horizon follow the affine tail and never enter the
+        # Hermite arithmetic
         beyond = t > grid[-1]
-        if np.any(beyond):
-            if derivative:
-                out[beyond] = self.tail_slope
-            else:
-                out[beyond] = self.values[-1] + self.tail_slope * (t[beyond] - grid[-1])
-
-        inside = ~beyond
-        ti = t[inside]
-        pos, exact = self._locate(ti)
-        res = np.empty(ti.shape, dtype=float)
-
-        # exact node hits: left slot by the left-continuity convention
-        if np.any(exact):
-            slots = mesh.left_slot[pos[exact]]
-            res[exact] = self.derivs[slots] if derivative else self.values[slots]
-
-        strict = ~exact
-        if np.any(strict):
-            j = pos[strict] - 1  # grid[j] < t < grid[j+1]
-            s_lo = mesh.right_slot[j]
-            s_hi = mesh.left_slot[j + 1]
-            x0 = grid[j]
-            h = grid[j + 1] - x0
-            u = (ti[strict] - x0) / h
-            v0, v1 = self.values[s_lo], self.values[s_hi]
-            d0, d1 = self.derivs[s_lo], self.derivs[s_hi]
-            u2 = u * u
-            u3 = u2 * u
-            if derivative:
-                res[strict] = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
-                               + (3.0 * u2 - 4.0 * u + 1.0) * d0
-                               + (3.0 * u2 - 2.0 * u) * d1)
-            else:
-                h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-                h10 = u3 - 2.0 * u2 + u
-                h01 = -2.0 * u3 + 3.0 * u2
-                h11 = u3 - u2
-                res[strict] = h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
-        out[inside] = res
+        if not np.any(beyond):
+            outs = self._eval_inside(t, value, deriv)
+        else:
+            tails = [self.values[-1] + self.tail_slope * (t[beyond] - grid[-1])] if value else []
+            tails += [self.tail_slope] if deriv else []
+            inside = ~beyond
+            outs = []
+            for res, tail in zip(self._eval_inside(t[inside], value, deriv), tails):
+                out = np.empty(t.shape, dtype=float)
+                out[inside], out[beyond] = res, tail
+                outs.append(out)
         if t_in.ndim == 0:
-            return float(out[0])
-        return out
+            return [float(out[0]) for out in outs]
+        return outs
+
+    def _eval_inside(self, t, value, deriv):
+        """_eval at times in [t0, horizon]: exact grid nodes read the left
+        slot (left-continuity), other times the cubic Hermite interpolant
+        of their grid interval."""
+        mesh = self.mesh
+        grid = mesh.grid
+        pos = np.searchsorted(grid, t, side="left")  # < grid.size: t <= horizon
+        exact = grid[pos] == t
+        strict = ~exact
+        j = pos[strict] - 1  # grid[j] < t < grid[j+1]
+        s_lo = mesh.right_slot[j]
+        s_hi = mesh.left_slot[j + 1]
+        x0 = grid[j]
+        h = grid[j + 1] - x0
+        u = (t[strict] - x0) / h
+        v0, v1 = self.values[s_lo], self.values[s_hi]
+        d0, d1 = self.derivs[s_lo], self.derivs[s_hi]
+        u2 = u * u
+        node = mesh.left_slot[pos[exact]]
+        outs = []
+        if value:
+            u3 = u2 * u
+            res = np.empty(t.shape, dtype=float)
+            # h00 v0 + h h10 d0 + h01 v1 + h h11 d1 in the cubic Hermite basis
+            res[strict] = ((2.0 * u3 - 3.0 * u2 + 1.0) * v0 + h * (u3 - 2.0 * u2 + u) * d0
+                           + (-2.0 * u3 + 3.0 * u2) * v1 + h * (u3 - u2) * d1)
+            res[exact] = self.values[node]
+            outs.append(res)
+        if deriv:
+            res = np.empty(t.shape, dtype=float)
+            res[strict] = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
+                           + (3.0 * u2 - 4.0 * u + 1.0) * d0
+                           + (3.0 * u2 - 2.0 * u) * d1)
+            res[exact] = self.derivs[node]
+            outs.append(res)
+        return outs
 
     def left_limits_at(self, times):
         """(values, derivs) of the left limits at the given node times."""

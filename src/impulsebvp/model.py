@@ -58,7 +58,10 @@ class RhsFunction:
     """Right-hand side g(t, x, y, z, w) with (x,y,z,w) = (u, v, u', v').
 
     ``fn`` should accept numpy arrays; scalar-only callables are looped
-    over transparently.  ``name``/``params`` identify registry entries for
+    over transparently.  The points arrive in no particular time order
+    (the operator passes its quadrature points Gauss-major), so ``fn``
+    must be pointwise: its value at a point depends only on that point's
+    arguments.  ``name``/``params`` identify registry entries for
     problem files and are purely descriptive here.
     """
 

@@ -30,6 +30,16 @@ call; without a plan, ``apply_T`` builds one for the call.  Per call, one
 pass per mesh (four per-panel gathers and two weighted sums) gives u, v,
 u', v' at the Gauss points for both f and h.
 
+The plan's per-point arrays are Gauss-major: C-contiguous
+(GAUSS_ORDER, npanels), one row per Gauss node, while the per-panel data
+(slots, interval lengths) is 1-D.  So every elementwise step runs over
+rows of npanels points, and the right-hand sides see the points in
+``spts.ravel()`` order, which is not time order.  The per-panel sums add
+the rows pairwise, ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), the order numpy's
+``sum`` uses on a contiguous row of 8, so they equal a panel-major
+``sum(axis=1)`` bit for bit.  A non-finite right-hand side value is
+still reported at its first point in time order.
+
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
 fixed configuration, with or without a plan.
@@ -46,7 +56,7 @@ from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, build_mesh,
                       norm_X)
 from .model import ImpulsiveCoupledBVP
 
-GAUSS_ORDER = 8        # Gauss-Legendre points per quadrature panel
+GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
 PANELS_PER_PIECE = 16  # least panels between consecutive impulse times
 
 __all__ = [
@@ -62,7 +72,10 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """A right-hand side returned a non-finite value; carries the location."""
+    """A right-hand side returned a non-finite value; carries the location.
+
+    ``solve`` adds the failing iteration to ``location`` after the error is
+    raised, and the message names it from then on."""
 
     def __init__(self, name, s, args):
         self.location = {"rhs": name, "s": float(s),
@@ -71,6 +84,11 @@ class EvaluationError(RuntimeError):
             f"{name} returned a non-finite value at s={s:.6g} with "
             f"(x,y,z,w)={tuple(round(float(a), 6) for a in args)}"
         )
+
+    def __str__(self):
+        msg = super().__str__()
+        it = self.location.get("iteration")
+        return msg if it is None else f"{msg} in iteration {it}"
 
 
 @dataclass(frozen=True)
@@ -139,11 +157,15 @@ def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
     return mu, mv
 
 
-def _gauss_panels(breaks):
-    """Gauss-Legendre points/weights per panel: arrays (npanels, GAUSS_ORDER)."""
+def _gauss_panels(breaks, gauss_major=False):
+    """Gauss-Legendre points/weights per panel: arrays (npanels, GAUSS_ORDER),
+    or with ``gauss_major`` C-contiguous (GAUSS_ORDER, npanels) arrays of
+    the same values."""
     xg, wg = leggauss(GAUSS_ORDER)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * np.diff(breaks)
+    if gauss_major:
+        return mid + half * xg[:, None], half * wg[:, None]
     return mid[:, None] + half[:, None] * xg[None, :], half[:, None] * wg[None, :]
 
 
@@ -233,10 +255,12 @@ class _MeshPlan:
     The cubic Hermite weights at the panel's Gauss points are fixed by the
     plan: ``w00``, ``w10``, ``w01``, ``w11`` (``h`` folded into the two
     that multiply slot derivatives) give the value, ``da``, ``db``, ``dc``
-    the derivative.  The few Gauss points that coincide with a grid node are
-    listed in ``on_node`` (flat indices) and read ``node_slot`` (the left
-    slot, by the left-continuity convention).  ``lo``/``hi`` are the left
-    and right slots of the impulse nodes, in schedule order.
+    the derivative; like the plan's Gauss points they are Gauss-major
+    (GAUSS_ORDER, npanels) arrays.  The few Gauss points that coincide with
+    a grid node (the ends of panels a rounding error wide) are listed in
+    ``on_node`` (flat indices) and read ``node_slot`` (the left slot, by the
+    left-continuity convention).  ``lo``/``hi`` are the left and right slots
+    of the impulse nodes, in schedule order.
     """
 
     mesh: Mesh
@@ -262,17 +286,19 @@ class _MeshPlan:
     @staticmethod
     def build(mesh, sched_pts, boundaries, spts):
         grid = mesh.grid
-        flat = spts.ravel()
-        pos = np.searchsorted(grid, flat, side="left")
-        on_node = np.flatnonzero(grid[np.minimum(pos, grid.size - 1)] == flat)
         # the same expressions as PiecewiseC1Function._eval, per panel
         j = np.minimum(np.searchsorted(grid, boundaries[:-1], side="right") - 1,
-                       grid.size - 2)[:, None]
-        x0 = grid[j]
-        h = grid[j + 1] - x0
+                       grid.size - 2)
+        x0, x1 = grid[j], grid[j + 1]
+        h = x1 - x0
         u = (spts - x0) / h
         u2 = u * u
         u3 = u2 * u
+        # a Gauss point lies in its panel's grid interval [x0, x1], so it can
+        # only sit on one of those two nodes
+        at_hi = spts == x1
+        on_node = np.flatnonzero(at_hi | (spts == x0))
+        node = j[on_node % j.size] + at_hi.ravel()[on_node]
         gr = np.arange(grid.size)
         slot_to_grid = np.empty(mesh.n_slots, dtype=int)
         slot_to_grid[mesh.left_slot] = gr
@@ -288,19 +314,28 @@ class _MeshPlan:
             w00=2.0 * u3 - 3.0 * u2 + 1.0, w10=h * (u3 - 2.0 * u2 + u),
             w01=-2.0 * u3 + 3.0 * u2, w11=h * (u3 - u2),
             da=6.0 * u2 - 6.0 * u, db=3.0 * u2 - 4.0 * u + 1.0, dc=3.0 * u2 - 2.0 * u,
-            on_node=on_node, node_slot=mesh.left_slot[pos[on_node]],
+            on_node=on_node, node_slot=mesh.left_slot[node],
             gidx=np.searchsorted(boundaries, grid), slot_to_grid=slot_to_grid,
             lo=lo, hi=hi, cnt=cnt)
 
     def interpolate(self, x: PiecewiseC1Function):
-        """x and x' at the plan's Gauss points (flattened), bit for bit as
-        ``x(flat)`` and ``x.deriv(flat)`` compute them."""
+        """x and x' at the plan's Gauss points, in ``spts.ravel()`` order,
+        bit for bit as ``x(flat)`` and ``x.deriv(flat)`` compute them."""
         v0, v1 = x.values[self.s_lo], x.values[self.s_hi]
         d0, d1 = x.derivs[self.s_lo], x.derivs[self.s_hi]
-        val = (self.w00 * v0 + self.w10 * d0 + self.w01 * v1 + self.w11 * d1).ravel()
+        # left to right, as the expressions in _eval, with one temporary
+        val = self.w00 * v0
+        tmp = self.w10 * d0
+        val += tmp
+        val += np.multiply(self.w01, v1, out=tmp)
+        val += np.multiply(self.w11, d1, out=tmp)
         # dividing by h after the product, not folding 1/h into da, keeps
         # the last bit equal to _eval's
-        der = (self.da * (v0 - v1) / self.h + self.db * d0 + self.dc * d1).ravel()
+        der = self.da * (v0 - v1)
+        der /= self.h
+        der += np.multiply(self.db, d0, out=tmp)
+        der += np.multiply(self.dc, d1, out=tmp)
+        val, der = val.ravel(), der.ravel()
         val[self.on_node] = x.values[self.node_slot]
         der[self.on_node] = x.derivs[self.node_slot]
         return val, der
@@ -340,7 +375,7 @@ class OperatorPlan:
             raise ValueError("iterate horizon does not match the quadrature config")
         hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
         boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
-        spts, wts = _gauss_panels(boundaries)
+        spts, wts = _gauss_panels(boundaries, gauss_major=True)
         u = _MeshPlan.build(u_mesh, pts_u, boundaries, spts)
         same = v_mesh.same_layout(u_mesh) and np.array_equal(pts_v, pts_u)
         v = u if same else _MeshPlan.build(v_mesh, pts_v, boundaries, spts)
@@ -362,14 +397,28 @@ def _rhs_values(rhs, spts, U, V, dU, dV):
     vals = rhs(flat, U, V, dU, dV)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
+        # report the first bad point in time order: panel-major, not flat order
+        i = np.flatnonzero(bad)
+        npanels = spts.shape[1]
+        i = int(i[np.argmin(i % npanels * GAUSS_ORDER + i // npanels)])
         raise EvaluationError(rhs.name, flat[i], (U[i], V[i], dU[i], dV[i]))
     return vals.reshape(spts.shape)
 
 
+def _panel_sums(a):
+    """Per-panel sums of a Gauss-major (8, npanels) array, formed in place as
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)): the pairwise order numpy's sum
+    uses on a contiguous row of 8, so the bits equal a panel-major
+    ``sum(axis=1)``."""
+    # row by row: strided halves would make numpy copy the operand
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        a[i] += a[j]
+    return a[0].copy()  # a copy, so the caller does not keep all of a alive
+
+
 def _moments(spts, wts, rvals):
-    m0 = (wts * rvals).sum(axis=1)
-    m1 = (wts * spts * rvals).sum(axis=1)
+    m0 = _panel_sums(wts * rvals)
+    m1 = _panel_sums(wts * spts * rvals)
     C0 = np.concatenate(([0.0], np.cumsum(m0)))
     C1 = np.concatenate(([0.0], np.cumsum(m1)))
     return m0, C0, C1
@@ -434,13 +483,12 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     U, dU = plan.u.interpolate(s.u)
     V, dV = plan.v.interpolate(s.v)
 
-    fvals = _rhs_values(p.f, spts, U, V, dU, dV)
-    m0f, C0f, C1f = _moments(spts, wts, fvals)
+    # the rhs values are dropped once summed: one such array alive at a time
+    m0f, C0f, C1f = _moments(spts, wts, _rhs_values(p.f, spts, U, V, dU, dV))
     out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
                                        s.u, plan.u, C0f, C1f)
 
-    hvals = _rhs_values(p.h, spts, U, V, dU, dV)
-    m0h, C0h, C1h = _moments(spts, wts, hvals)
+    m0h, C0h, C1h = _moments(spts, wts, _rhs_values(p.h, spts, U, V, dU, dV))
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
                                        s.v, plan.v, C0h, C1h)
 

@@ -233,8 +233,15 @@ def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair):
     spts, wts = _gauss_panels(boundaries)
     flat = spts.ravel()
     w = wts.ravel()
-    args = (flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
+    args = _rhs_args(s, flat)
     return float((w * p.f(*args)).sum()), float((w * p.h(*args)).sum())
+
+
+def _rhs_args(s: SolutionPair, t):
+    """(t, u, v, u', v') at times t, one evaluation pass per component."""
+    u, du = s.u.value_and_deriv(t)
+    v, dv = s.v.value_and_deriv(t)
+    return t, u, v, du, dv
 
 
 def _ode_residual(fn, x, s: SolutionPair):
@@ -248,8 +255,7 @@ def _ode_residual(fn, x, s: SolutionPair):
         return 0.0
     t, dd = x.mesh.nodes, x.derivs
     second = (dd[i + 1] - dd[i - 1]) / (t[i + 1] - t[i - 1])
-    ti = t[i]
-    rhs = fn(ti, s.u(ti), s.v(ti), s.u.deriv(ti), s.v.deriv(ti))
+    rhs = fn(*_rhs_args(s, t[i]))
     return float(np.max(np.abs(second - rhs)))
 
 

@@ -319,3 +319,76 @@ def test_solution_writer_matches_scalar_reference(name, tmp_path):
     _write_solution_scalar(ref, pair)
     for fname in ("solution.csv", "solution.dat"):
         assert (new / fname).read_bytes() == (ref / fname).read_bytes()
+
+
+def _flaky_rhs(fail_from=3, above=2.0037):
+    """Registry factory: an f that returns NaN at every point past ``above``
+    from its ``fail_from``-th call on quadrature points on.  The 200-point
+    samples of problem validation are not counted."""
+    calls = [0]
+
+    def fn(t, x, y, z, w):
+        if t.size > 200:
+            calls[0] += 1
+        out = 0.1 * np.exp(-t) * x
+        return np.where(t > above, np.nan, out) if calls[0] >= fail_from else out
+
+    return fn
+
+
+def _run_main(argv):
+    from impulsebvp import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code
+
+
+def test_rhs_failure_names_iteration_and_first_bad_point(tmp_path, monkeypatch, capsys):
+    from impulsebvp.operator import (EvaluationError, QuadratureConfig, _gauss_panels,
+                                     _refined_boundaries, problem_meshes)
+    from impulsebvp.problemfile import RHS_REGISTRY, load_problem
+    from impulsebvp.solver import SolverConfig, solve
+    monkeypatch.setitem(RHS_REGISTRY, "flaky", _flaky_rhs)
+    doc = {"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
+           "rhs": {"f": {"name": "flaky"}},
+           "impulses": {"u": {"schedule": {"points": [1.3]},
+                              "I0": {"name": "constant", "params": {"value": 0.1}}}}}
+    prob = tmp_path / "flaky.json"
+    prob.write_text(json.dumps(doc))
+    flags = ["--horizon", "5", "--mesh-spacing", "0.1", "--tol", "1e-30"]
+    code = _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "iteration 3" in err
+
+    # reference: the same panels panel-major, whose flat order is time order
+    p = load_problem(doc)
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    mu, mv = problem_meshes(p, qc)
+    boundaries = _refined_boundaries(np.union1d(mu.grid, mv.grid),
+                                     np.union1d(mu.impulse_times, mv.impulse_times))
+    flat = _gauss_panels(boundaries)[0].ravel()
+    want = flat[np.flatnonzero(flat > 2.0037)[0]]
+    # the panel holding 2.0037 has good points before the first bad one, so
+    # the first bad point of a Gauss-major scan lies in the next panel
+    assert flat[np.flatnonzero(flat > 2.0037)[0] - 1] > 2.0
+    assert f"flaky returned a non-finite value at s={want:.6g} " in err
+    with pytest.raises(EvaluationError) as exc:
+        solve(p, SolverConfig(tol=1e-30), qc)
+    assert exc.value.location["s"] == want
+    assert exc.value.location["iteration"] == 3
+    assert str(exc.value).endswith(" in iteration 3")
+
+
+def test_manifest_records_the_environment(zero_file, tmp_path):
+    import platform
+    out = tmp_path / "out"
+    assert _run_main(["solve", str(zero_file), "--out-dir", str(out),
+                      "--mesh-spacing", "0.1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "platform"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["platform"].startswith(platform.system() + "-")
+    assert env["platform"].endswith("-" + platform.machine())

@@ -301,3 +301,103 @@ def test_csv_serialization_matches_the_slot_loop(tmp_path):
             w.writerow([repr(float(t)), side, repr(float(x.values[i])),
                         repr(float(x.derivs[i]))])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _eval_reference(x, t, derivative):
+    """Reference: the two-pass evaluation, value or derivative per call."""
+    t_in = np.asarray(t, dtype=float)
+    t = np.atleast_1d(t_in)
+    mesh = x.mesh
+    grid = mesh.grid
+    bad = ~np.isfinite(t)
+    if np.any(bad):
+        first = np.argwhere(bad)[0]
+        where = int(first[0]) if first.size == 1 else tuple(first.tolist())
+        raise ValueError(f"non-finite query time {t[tuple(first)]} at index {where}")
+    if np.any(t < grid[0]):
+        raise ValueError(f"evaluation below the working domain start t0={grid[0]}")
+    out = np.empty(t.shape, dtype=float)
+    beyond = t > grid[-1]
+    if np.any(beyond):
+        if derivative:
+            out[beyond] = x.tail_slope
+        else:
+            out[beyond] = x.values[-1] + x.tail_slope * (t[beyond] - grid[-1])
+    inside = ~beyond
+    ti = t[inside]
+    pos = np.searchsorted(grid, ti, side="left")
+    ok = pos < grid.size
+    exact = np.zeros(ti.shape, dtype=bool)
+    exact[ok] = grid[np.minimum(pos[ok], grid.size - 1)] == ti[ok]
+    res = np.empty(ti.shape, dtype=float)
+    if np.any(exact):
+        slots = mesh.left_slot[pos[exact]]
+        res[exact] = x.derivs[slots] if derivative else x.values[slots]
+    strict = ~exact
+    if np.any(strict):
+        j = pos[strict] - 1
+        s_lo, s_hi = mesh.right_slot[j], mesh.left_slot[j + 1]
+        x0 = grid[j]
+        h = grid[j + 1] - x0
+        u = (ti[strict] - x0) / h
+        v0, v1 = x.values[s_lo], x.values[s_hi]
+        d0, d1 = x.derivs[s_lo], x.derivs[s_hi]
+        u2 = u * u
+        u3 = u2 * u
+        if derivative:
+            res[strict] = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
+                           + (3.0 * u2 - 4.0 * u + 1.0) * d0
+                           + (3.0 * u2 - 2.0 * u) * d1)
+        else:
+            h00 = 2.0 * u3 - 3.0 * u2 + 1.0
+            h10 = u3 - 2.0 * u2 + u
+            h01 = -2.0 * u3 + 3.0 * u2
+            h11 = u3 - u2
+            res[strict] = h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
+    out[inside] = res
+    if t_in.ndim == 0:
+        return float(out[0])
+    return out
+
+
+def test_value_and_deriv_is_bitwise_the_two_pass_evaluation():
+    import warnings
+    m = build_mesh(0.5, 12.0, [1.0, 2.5, 2.51, 7.3], spacing=0.07)
+    x = from_callable(m, lambda t: np.sin(t) + 0.3 * (t > 2.5),
+                      lambda t: np.cos(t) - 0.2 * (t > 7.3), tail=0.75)
+    x = apply_jump(apply_jump(x, 1.0, 0.25, -0.5), 2.51, 0.1, 0.0)
+    rng = np.random.default_rng(3)
+    queries = {
+        "grid nodes": m.grid,
+        "doubled nodes": m.impulse_times,
+        "slots": m.nodes,
+        "between nodes": np.sort(rng.uniform(0.5, 12.0, 5000)),
+        "past the horizon": np.array([12.0, np.nextafter(12.0, 13.0), 13.5, 1e6, 1e300]),
+        "mixed, unsorted": rng.permutation(np.concatenate(
+            (m.grid[::3], rng.uniform(0.5, 20.0, 700), [0.5, 12.0, 1e300]))),
+        "two-dimensional": rng.uniform(0.5, 14.0, (7, 9)),
+        "empty": np.zeros(0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e300 must stay out of the Hermite arithmetic
+        for name, t in queries.items():
+            val, der = x.value_and_deriv(t)
+            want_val, want_der = _eval_reference(x, t, False), _eval_reference(x, t, True)
+            for got, want in ((val, want_val), (der, want_der),
+                              (x(t), want_val), (x.deriv(t), want_der)):
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+        for t in (0.5, 1.0, 2.51, 3.3, 12.0, 40.0, 1e300):
+            val, der = x.value_and_deriv(t)
+            assert type(val) is float and type(der) is float
+            assert val == _eval_reference(x, t, False) == x(t)
+            assert der == _eval_reference(x, t, True) == x.deriv(t)
+    for bad, message in ((np.array([1.0, 2.0, np.nan]), "at index 2"),
+                         (np.array([[1.0, np.inf]]), r"at index \(0, 1\)"),
+                         (0.4, "below the working domain start"),
+                         (np.array([3.0, 0.2]), "below the working domain start")):
+        with pytest.raises(ValueError, match=message) as ref:
+            _eval_reference(x, bad, False)
+        with pytest.raises(ValueError, match=message) as got:
+            x.value_and_deriv(bad)
+        assert str(got.value) == str(ref.value)

@@ -381,8 +381,9 @@ def _dense_impulse_problem(seed):
     return load_problem(workloads.dense_impulse_problem(seed))
 
 
-def test_refined_boundaries_match_the_per_piece_loop():
-    from impulsebvp.operator import PANELS_PER_PIECE, _refined_boundaries
+def _k2000_problem():
+    """The K2000 point of the benchmark's sweep: both components jump every
+    0.02 on H = 40."""
     from impulsebvp.problemfile import load_problem
     lin = {"name": "linear", "params": {"c0": 1e-3, "ca": 1e-5, "cb": 1e-4}}
     k2000 = {"t0": 0.0, "boundary": {"A1": 1.0, "A2": 0.5, "B1": 0.5, "B2": 0.25},
@@ -390,11 +391,16 @@ def test_refined_boundaries_match_the_per_piece_loop():
              "impulses": {side: {"schedule": {"rule": "integers", "step": 0.02},
                                  m0: lin, m1: lin}
                           for side, m0, m1 in (("u", "I0", "I1"), ("v", "J0", "J1"))}}
+    return load_problem(k2000)
+
+
+def test_refined_boundaries_match_the_per_piece_loop():
+    from impulsebvp.operator import PANELS_PER_PIECE, _refined_boundaries
     cases = (
         (make_problem(u_points=(1.0, 2.5, 4.0)),
          QuadratureConfig(horizon=40.0, mesh_spacing=0.02)),
         (_dense_impulse_problem(1), QuadratureConfig(horizon=40.0, mesh_spacing=0.01)),
-        (load_problem(k2000), QuadratureConfig(horizon=40.0, mesh_spacing=0.01)),
+        (_k2000_problem(), QuadratureConfig(horizon=40.0, mesh_spacing=0.01)),
     )
     for p, qc in cases:
         mu, mv = problem_meshes(p, qc)
@@ -533,3 +539,78 @@ def test_plan_shares_one_mesh_plan_between_identical_meshes():
         for a, b in ((image.u, again.u), (image.v, again.v)):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.derivs, b.derivs)
+
+
+def test_plan_arrays_are_gauss_major():
+    from impulsebvp.operator import GAUSS_ORDER, OperatorPlan, _gauss_panels
+    p = _criterion04_problem()
+    qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.02)
+    plan = OperatorPlan.build(p, qc, *problem_meshes(p, qc))
+    npanels = plan.boundaries.size - 1
+    spts, wts = _gauss_panels(plan.boundaries)  # panel-major
+    assert np.array_equal(plan.spts, spts.T) and np.array_equal(plan.wts, wts.T)
+    for mp in (plan.u, plan.v):
+        for a in (plan.spts, plan.wts, mp.w00, mp.w10, mp.w01, mp.w11,
+                  mp.da, mp.db, mp.dc):
+            assert a.shape == (GAUSS_ORDER, npanels) and a.flags.c_contiguous
+        for a in (mp.s_lo, mp.s_hi, mp.h):
+            assert a.shape == (npanels,)
+
+
+def test_panel_sums_are_numpy_row_sums():
+    # _moments adds the Gauss-major rows pairwise; numpy's sum over a
+    # contiguous panel-major row of 8 must give the same bits
+    from impulsebvp.audit import sample_ball_pair
+    from impulsebvp.operator import GAUSS_ORDER, OperatorPlan, _moments, _panel_sums
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    rng = np.random.default_rng(17)
+    a = (rng.standard_normal((GAUSS_ORDER, 20_000))
+         * np.exp(rng.uniform(-30.0, 30.0, (GAUSS_ORDER, 20_000))))
+    want = np.ascontiguousarray(a.T).sum(axis=1)
+    assert np.array_equal(_panel_sums(a.copy()), want)
+    sequential = a[0] + a[1] + a[2] + a[3] + a[4] + a[5] + a[6] + a[7]
+    assert not np.array_equal(sequential, want)  # the data tells the orders apart
+
+    panel_major = np.ascontiguousarray
+    pend = build_pendulum_problem(PendulumParams())
+    for p, spacing in ((_criterion04_problem(), 0.02), (pend, 0.01),
+                       (_dense_impulse_problem(1), 0.01)):
+        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
+        s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(7),
+                             u_floor=p.bounds.u_floor if p.bounds else None)
+        plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+        U, dU = plan.u.interpolate(s.u)
+        V, dV = plan.v.interpolate(s.v)
+        flat = plan.spts.ravel()
+        for r in (p.f(flat, U, V, dU, dV), p.h(flat, U, V, dU, dV),
+                  rng.standard_normal(flat.size)):
+            r = r.reshape(plan.spts.shape)
+            m0, C0, C1 = _moments(plan.spts, plan.wts, r)
+            want0 = (panel_major(plan.wts.T) * panel_major(r.T)).sum(axis=1)
+            want1 = (panel_major(plan.wts.T) * panel_major(plan.spts.T)
+                     * panel_major(r.T)).sum(axis=1)
+            assert np.array_equal(m0, want0)
+            assert np.array_equal(C0, np.concatenate(([0.0], np.cumsum(want0))))
+            assert np.array_equal(C1, np.concatenate(([0.0], np.cumsum(want1))))
+
+
+def test_on_node_points_are_the_searchsorted_hits():
+    # the plan finds on-node Gauss points against its panel's own interval;
+    # the reference searches every point in the whole grid
+    from impulsebvp.operator import OperatorPlan
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    cases = ((_criterion04_problem(), 0.02, (1856, 136)),
+             (build_pendulum_problem(PendulumParams()), 0.01, (0, 0)),
+             (_dense_impulse_problem(1), 0.01, (0, 0)),
+             (_k2000_problem(), 0.01, (0, 0)))
+    for p, spacing, hits in cases:
+        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
+        plan = OperatorPlan.build(p, qc, *problem_meshes(p, qc))
+        flat = plan.spts.ravel()
+        for mp, n in zip((plan.u, plan.v), hits):
+            grid = mp.mesh.grid
+            pos = np.searchsorted(grid, flat, side="left")
+            want = np.flatnonzero(grid[np.minimum(pos, grid.size - 1)] == flat)
+            assert np.array_equal(mp.on_node, want)
+            assert np.array_equal(mp.node_slot, mp.mesh.left_slot[pos[want]])
+            assert want.size == n
