@@ -95,12 +95,29 @@ def _out_dir(args):
     return path
 
 
-def _resolve(args):
+def _load(args):
+    """The problem file, with ``--t0`` applied."""
     p = load_problem_file(args.problem)
     if args.t0 is not None:
         p = dataclasses.replace(p, t0=args.t0)
+    return p
+
+
+def _resolve(args):
     qc = QuadratureConfig(horizon=args.horizon, mesh_spacing=args.mesh_spacing)
-    return p, qc
+    return _load(args), qc
+
+
+def _valid(p, horizon, seed):
+    """Run validate_problem up to the horizon; print the failed checks to
+    stderr and return False if any fails."""
+    report = validate_problem(p, horizon, seed=seed)
+    if not report.passed:
+        print("problem validation failed:", file=sys.stderr)
+        for c in report.checks:
+            if not c["passed"]:
+                print(f"  {c['name']}: {c['details']}", file=sys.stderr)
+    return report.passed
 
 
 def _environment():
@@ -198,19 +215,13 @@ def cmd_solve(args):
     out = _out_dir(args)
     try:
         p, qc = _resolve(args)
-        report = validate_problem(p, args.horizon, seed=args.seed)
-        if not report.passed:
-            print("problem validation failed:", file=sys.stderr)
-            for c in report.checks:
-                if not c["passed"]:
-                    print(f"  {c['name']}: {c['details']}", file=sys.stderr)
+        if not _valid(p, args.horizon, args.seed):
             return 1
         sc = SolverConfig(max_iter=args.max_iter, tol=args.tol,
                           damping=args.damping, anderson_depth=args.anderson)
         pair, diag = solve(p, sc, qc)
         residuals = verify_residuals(p, pair)
-    except (RuntimeError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (RuntimeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -244,8 +255,7 @@ def cmd_check(args):
                            qc=qc, samples=args.samples, seed=args.seed,
                            ball_samples=args.ball_samples,
                            sample_at_rho=not args.sample_at_rho2)
-    except (RuntimeError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (RuntimeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out, args, qc=qc)
@@ -270,11 +280,10 @@ def cmd_study(args):
     out = _out_dir(args)
     try:
         levels = _study_levels(args)
-        p0 = load_problem_file(args.problem)
-        if args.t0 is not None:
-            p0 = dataclasses.replace(p0, t0=args.t0)
-    except (RuntimeError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+        p0 = _load(args)
+        if not _valid(p0, max(h for h, _ in levels), args.seed):
+            return 1
+    except (RuntimeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -129,6 +129,46 @@ def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     )
 
 
+def _hermite_weights(u, h):
+    """Yield the cubic Hermite weights at relative positions u in intervals
+    of length h, one array at a time: w00, h*h10, w01, h*h11 of the value,
+    then da, db, dc of the derivative (see :func:`_hermite_combine`)."""
+    u2 = u * u
+    u3 = u2 * u
+    yield 2.0 * u3 - 3.0 * u2 + 1.0
+    yield h * (u3 - 2.0 * u2 + u)
+    yield -2.0 * u3 + 3.0 * u2
+    yield h * (u3 - u2)
+    yield 6.0 * u2 - 6.0 * u
+    yield 3.0 * u2 - 4.0 * u + 1.0
+    yield 3.0 * u2 - 2.0 * u
+
+
+def _hermite_combine(w, h, v0, v1, d0, d1):
+    """(value, derivative) of the cubic Hermite interpolant of the end data
+    (v0, d0), (v1, d1), from the weights ``w`` of :func:`_hermite_weights`
+    (a generator or the stored tuple, read in order):
+
+        value = w00 v0 + h h10 d0 + w01 v1 + h h11 d1
+        deriv = da (v0 - v1) / h + db d0 + dc d1
+
+    summed left to right with one temporary.  The module's single copy of
+    the formula: point evaluation and the operator plan both use it."""
+    w = iter(w)
+    val = next(w) * v0
+    tmp = next(w) * d0
+    val += tmp
+    val += np.multiply(next(w), v1, out=tmp)
+    val += np.multiply(next(w), d1, out=tmp)
+    # dividing by h after the product, not folding 1/h into da, keeps the
+    # last bit of the formula as written
+    der = next(w) * (v0 - v1)
+    der /= h
+    der += np.multiply(next(w), d0, out=tmp)
+    der += np.multiply(next(w), d1, out=tmp)
+    return val, der
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseC1Function:
     """Function data on a :class:`Mesh`: per-slot values and derivatives.
@@ -158,22 +198,21 @@ class PiecewiseC1Function:
 
     def __call__(self, t):
         """Evaluate values at times t (left-continuous at impulse points)."""
-        return self._eval(t, value=True, deriv=False)[0]
+        return self.value_and_deriv(t)[0]
 
     def deriv(self, t):
         """Evaluate the tracked first derivative at times t."""
-        return self._eval(t, value=False, deriv=True)[0]
+        return self.value_and_deriv(t)[1]
 
     def value_and_deriv(self, t):
-        """``(x(t), x'(t))`` from one locate-and-gather pass, bit for bit
-        what ``x(t)`` and ``x.deriv(t)`` return."""
-        return self._eval(t, value=True, deriv=True)
-
-    def _eval(self, t, value, deriv):
-        """[x(t)] if value, then [x'(t)] if deriv."""
+        """``(x(t), x'(t))`` from one locate-and-gather pass: exact grid
+        nodes read the left slot (left-continuity), other times up to the
+        horizon the cubic Hermite interpolant of their grid interval, times
+        past the horizon the affine tail."""
         t_in = np.asarray(t, dtype=float)
         t = np.atleast_1d(t_in)
-        grid = self.mesh.grid
+        mesh = self.mesh
+        grid = mesh.grid
         bad = ~np.isfinite(t)
         if np.any(bad):
             first = np.argwhere(bad)[0]
@@ -182,60 +221,32 @@ class PiecewiseC1Function:
         if np.any(t < grid[0]):
             raise ValueError(f"evaluation below the working domain start t0={grid[0]}")
 
-        # points past the horizon follow the affine tail and never enter the
-        # Hermite arithmetic
+        # times past the horizon read the last node, so they never enter the
+        # Hermite arithmetic; the affine tail overwrites them below
         beyond = t > grid[-1]
-        if not np.any(beyond):
-            outs = self._eval_inside(t, value, deriv)
-        else:
-            tails = [self.values[-1] + self.tail_slope * (t[beyond] - grid[-1])] if value else []
-            tails += [self.tail_slope] if deriv else []
-            inside = ~beyond
-            outs = []
-            for res, tail in zip(self._eval_inside(t[inside], value, deriv), tails):
-                out = np.empty(t.shape, dtype=float)
-                out[inside], out[beyond] = res, tail
-                outs.append(out)
-        if t_in.ndim == 0:
-            return [float(out[0]) for out in outs]
-        return outs
-
-    def _eval_inside(self, t, value, deriv):
-        """_eval at times in [t0, horizon]: exact grid nodes read the left
-        slot (left-continuity), other times the cubic Hermite interpolant
-        of their grid interval."""
-        mesh = self.mesh
-        grid = mesh.grid
-        pos = np.searchsorted(grid, t, side="left")  # < grid.size: t <= horizon
+        pos = np.minimum(np.searchsorted(grid, t, side="left"), grid.size - 1)
         exact = grid[pos] == t
+        exact |= beyond
         strict = ~exact
         j = pos[strict] - 1  # grid[j] < t < grid[j+1]
-        s_lo = mesh.right_slot[j]
-        s_hi = mesh.left_slot[j + 1]
+        s_lo, s_hi = mesh.right_slot[j], mesh.left_slot[j + 1]
         x0 = grid[j]
         h = grid[j + 1] - x0
-        u = (t[strict] - x0) / h
-        v0, v1 = self.values[s_lo], self.values[s_hi]
-        d0, d1 = self.derivs[s_lo], self.derivs[s_hi]
-        u2 = u * u
+        val_s, der_s = _hermite_combine(
+            _hermite_weights((t[strict] - x0) / h, h), h,
+            self.values[s_lo], self.values[s_hi], self.derivs[s_lo], self.derivs[s_hi])
+        # the outputs are allocated once the kernel's temporaries are gone
+        val = np.empty(t.shape, dtype=float)
+        der = np.empty(t.shape, dtype=float)
+        val[strict], der[strict] = val_s, der_s
         node = mesh.left_slot[pos[exact]]
-        outs = []
-        if value:
-            u3 = u2 * u
-            res = np.empty(t.shape, dtype=float)
-            # h00 v0 + h h10 d0 + h01 v1 + h h11 d1 in the cubic Hermite basis
-            res[strict] = ((2.0 * u3 - 3.0 * u2 + 1.0) * v0 + h * (u3 - 2.0 * u2 + u) * d0
-                           + (-2.0 * u3 + 3.0 * u2) * v1 + h * (u3 - u2) * d1)
-            res[exact] = self.values[node]
-            outs.append(res)
-        if deriv:
-            res = np.empty(t.shape, dtype=float)
-            res[strict] = ((6.0 * u2 - 6.0 * u) * (v0 - v1) / h
-                           + (3.0 * u2 - 4.0 * u + 1.0) * d0
-                           + (3.0 * u2 - 2.0 * u) * d1)
-            res[exact] = self.derivs[node]
-            outs.append(res)
-        return outs
+        val[exact], der[exact] = self.values[node], self.derivs[node]
+        if np.any(beyond):
+            val[beyond] = self.values[-1] + self.tail_slope * (t[beyond] - grid[-1])
+            der[beyond] = self.tail_slope
+        if t_in.ndim == 0:
+            return float(val[0]), float(der[0])
+        return val, der
 
     def left_limits_at(self, times):
         """(values, derivs) of the left limits at the given node times."""
@@ -320,8 +331,7 @@ def pair_lincomb(a, s1: SolutionPair, b, s2: SolutionPair) -> SolutionPair:
 
 def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     """Evaluate fn at another mesh's slots, honoring left/right sides."""
-    vals = fn(mesh.nodes)
-    ders = fn.deriv(mesh.nodes)
+    vals, ders = fn.value_and_deriv(mesh.nodes)
     d, fd = mesh.doubled_nodes(), fn.mesh.doubled_nodes()
     _, i, fi = np.intersect1d(mesh.grid[d], fn.mesh.grid[fd], assume_unique=True,
                               return_indices=True)

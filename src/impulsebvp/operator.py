@@ -28,7 +28,11 @@ and the slot bookkeeping of the assembly.  ``solve`` and the
 ball-invariance audit build one plan and pass it to every :func:`apply_T`
 call; without a plan, ``apply_T`` builds one for the call.  Per call, one
 pass per mesh (four per-panel gathers and two weighted sums) gives u, v,
-u', v' at the Gauss points for both f and h.
+u', v' at the Gauss points for both f and h.  The cubic Hermite kernel
+itself lives in :mod:`fnspace` (``_hermite_weights`` and
+``_hermite_combine``): the plan stores the weights, point evaluation
+recomputes them, and both combine them in one function, so the two paths
+agree bit for bit by construction.
 
 The plan's per-point arrays are Gauss-major: C-contiguous
 (GAUSS_ORDER, npanels), one row per Gauss node, while the per-panel data
@@ -52,8 +56,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, build_mesh,
-                      norm_X)
+from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
+                      _hermite_weights, build_mesh, norm_X)
 from .model import ImpulsiveCoupledBVP
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
@@ -125,17 +129,6 @@ class TruncationReport:
     K_used: int
     tails_are_bounds: bool = False
     warn_integral_tail: bool = False
-
-    def merged(self, other: "TruncationReport") -> "TruncationReport":
-        return TruncationReport(
-            integral_tail_estimate=max(self.integral_tail_estimate,
-                                       other.integral_tail_estimate),
-            impulse_tail_estimate=max(self.impulse_tail_estimate,
-                                      other.impulse_tail_estimate),
-            K_used=max(self.K_used, other.K_used),
-            tails_are_bounds=self.tails_are_bounds and other.tails_are_bounds,
-            warn_integral_tail=self.warn_integral_tail or other.warn_integral_tail,
-        )
 
     def to_dict(self):
         return {
@@ -253,14 +246,15 @@ class _MeshPlan:
     read from the two slots ``s_lo[i]`` (right slot of grid node j) and
     ``s_hi[i]`` (left slot of grid node j+1), with interval length ``h[i]``.
     The cubic Hermite weights at the panel's Gauss points are fixed by the
-    plan: ``w00``, ``w10``, ``w01``, ``w11`` (``h`` folded into the two
-    that multiply slot derivatives) give the value, ``da``, ``db``, ``dc``
-    the derivative; like the plan's Gauss points they are Gauss-major
-    (GAUSS_ORDER, npanels) arrays.  The few Gauss points that coincide with
-    a grid node (the ends of panels a rounding error wide) are listed in
-    ``on_node`` (flat indices) and read ``node_slot`` (the left slot, by the
-    left-continuity convention).  ``lo``/``hi`` are the left and right slots
-    of the impulse nodes, in schedule order.
+    plan: ``weights`` holds the seven arrays of
+    :func:`fnspace._hermite_weights`, Gauss-major (GAUSS_ORDER, npanels)
+    like the plan's Gauss points, and ``interpolate`` combines them with
+    :func:`fnspace._hermite_combine`, the kernel point evaluation uses.
+    The few Gauss points that coincide with a grid node (the ends of panels
+    a rounding error wide) are listed in ``on_node`` (flat indices) and read
+    ``node_slot`` (the left slot, by the left-continuity convention).
+    ``lo``/``hi`` are the left and right slots of the impulse nodes, in
+    schedule order.
     """
 
     mesh: Mesh
@@ -268,13 +262,7 @@ class _MeshPlan:
     s_lo: np.ndarray
     s_hi: np.ndarray
     h: np.ndarray
-    w00: np.ndarray
-    w10: np.ndarray
-    w01: np.ndarray
-    w11: np.ndarray
-    da: np.ndarray
-    db: np.ndarray
-    dc: np.ndarray
+    weights: tuple
     on_node: np.ndarray
     node_slot: np.ndarray
     gidx: np.ndarray
@@ -286,14 +274,10 @@ class _MeshPlan:
     @staticmethod
     def build(mesh, sched_pts, boundaries, spts):
         grid = mesh.grid
-        # the same expressions as PiecewiseC1Function._eval, per panel
         j = np.minimum(np.searchsorted(grid, boundaries[:-1], side="right") - 1,
                        grid.size - 2)
         x0, x1 = grid[j], grid[j + 1]
         h = x1 - x0
-        u = (spts - x0) / h
-        u2 = u * u
-        u3 = u2 * u
         # a Gauss point lies in its panel's grid interval [x0, x1], so it can
         # only sit on one of those two nodes
         at_hi = spts == x1
@@ -311,9 +295,7 @@ class _MeshPlan:
         return _MeshPlan(
             mesh=mesh, sched_pts=sched_pts,
             s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
-            w00=2.0 * u3 - 3.0 * u2 + 1.0, w10=h * (u3 - 2.0 * u2 + u),
-            w01=-2.0 * u3 + 3.0 * u2, w11=h * (u3 - u2),
-            da=6.0 * u2 - 6.0 * u, db=3.0 * u2 - 4.0 * u + 1.0, dc=3.0 * u2 - 2.0 * u,
+            weights=tuple(_hermite_weights((spts - x0) / h, h)),
             on_node=on_node, node_slot=mesh.left_slot[node],
             gidx=np.searchsorted(boundaries, grid), slot_to_grid=slot_to_grid,
             lo=lo, hi=hi, cnt=cnt)
@@ -321,20 +303,9 @@ class _MeshPlan:
     def interpolate(self, x: PiecewiseC1Function):
         """x and x' at the plan's Gauss points, in ``spts.ravel()`` order,
         bit for bit as ``x(flat)`` and ``x.deriv(flat)`` compute them."""
-        v0, v1 = x.values[self.s_lo], x.values[self.s_hi]
-        d0, d1 = x.derivs[self.s_lo], x.derivs[self.s_hi]
-        # left to right, as the expressions in _eval, with one temporary
-        val = self.w00 * v0
-        tmp = self.w10 * d0
-        val += tmp
-        val += np.multiply(self.w01, v1, out=tmp)
-        val += np.multiply(self.w11, d1, out=tmp)
-        # dividing by h after the product, not folding 1/h into da, keeps
-        # the last bit equal to _eval's
-        der = self.da * (v0 - v1)
-        der /= self.h
-        der += np.multiply(self.db, d0, out=tmp)
-        der += np.multiply(self.dc, d1, out=tmp)
+        val, der = _hermite_combine(self.weights, self.h,
+                                    x.values[self.s_lo], x.values[self.s_hi],
+                                    x.derivs[self.s_lo], x.derivs[self.s_hi])
         val, der = val.ravel(), der.ravel()
         val[self.on_node] = x.values[self.node_slot]
         der[self.on_node] = x.derivs[self.node_slot]
@@ -470,7 +441,8 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
 
 def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
             plan: Optional[OperatorPlan] = None):
-    """Both components on shared quadrature panels; reports are merged.
+    """Both components on shared quadrature panels, with one truncation
+    report for both: the larger tails, and bounds only if all four are.
 
     ``plan`` is an :class:`OperatorPlan` built for (p, q) and s's meshes;
     without one, a plan is built from s's meshes for this call alone.
@@ -501,17 +473,13 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
                             (np.abs(c0u), np.abs(c1u)), in_ball)
     iv, ibv = _impulse_tail(q, p.v_schedule, b and b.seq_tail_phij, b and b.seq_tail_theta,
                             (np.abs(c0v), np.abs(c1v)), in_ball)
-    report_u = TruncationReport(integral_tail_estimate=tf,
-                                impulse_tail_estimate=iu,
-                                K_used=int(plan.u.sched_pts.size),
-                                tails_are_bounds=bf and ibu,
-                                warn_integral_tail=wf)
-    report_v = TruncationReport(integral_tail_estimate=th,
-                                impulse_tail_estimate=iv,
-                                K_used=int(plan.v.sched_pts.size),
-                                tails_are_bounds=bh and ibv,
-                                warn_integral_tail=wh)
-    return SolutionPair(u=out_u, v=out_v), report_u.merged(report_v)
+    report = TruncationReport(
+        integral_tail_estimate=max(tf, th),
+        impulse_tail_estimate=max(iu, iv),
+        K_used=max(int(plan.u.sched_pts.size), int(plan.v.sched_pts.size)),
+        tails_are_bounds=bf and ibu and bh and ibv,
+        warn_integral_tail=wf or wh)
+    return SolutionPair(u=out_u, v=out_v), report
 
 
 def semiinfinite_integral(g, t, q: QuadratureConfig, t0=0.0, breakpoints=()):
@@ -550,8 +518,7 @@ def impulse_sums(schedule, m0, m1, x: PiecewiseC1Function, t, horizon):
     pts = schedule.points_between(x.mesh.t0, horizon)
     if pts.size == 0:
         return 0.0, 0.0
-    a = np.atleast_1d(x(pts))  # left-continuous evaluation = left limits
-    b = np.atleast_1d(x.deriv(pts))
+    a, b = x.value_and_deriv(pts)  # left-continuous evaluation = left limits
     c0 = np.atleast_1d(m0(pts, a, b)).astype(float)
     c1 = np.atleast_1d(m1(pts, a, b)).astype(float)
     before = pts < t

@@ -15,7 +15,7 @@ candidate solution.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -145,7 +145,6 @@ def _unflatten(z, template: SolutionPair):
     off = 2 * nu + 1
     av, bv = z[off:off + nv], z[off + nv:off + 2 * nv]
     tv = z[off + 2 * nv]
-    from dataclasses import replace
     return SolutionPair(
         u=replace(u, values=au.copy(), derivs=bu.copy(), tail_slope=float(tu)),
         v=replace(v, values=av.copy(), derivs=bv.copy(), tail_slope=float(tv)),
@@ -193,27 +192,24 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
                                     contraction_estimate=_contraction_estimate(history))
             return s, diag
 
+        m = 0  # Anderson mixing depth of this step
         if sc.anderson_depth > 0:
-            z = _flatten(s)
-            g = _flatten(Ts)
-            zs.append(z)
-            gs.append(g)
-            m = min(sc.anderson_depth, len(zs) - 1)
-            if m > 0:
-                F = np.stack([(gs[-i] - zs[-i]) - (gs[-i - 1] - zs[-i - 1])
-                              for i in range(1, m + 1)], axis=1)
-                dZ = np.stack([zs[-i] - zs[-i - 1] for i in range(1, m + 1)], axis=1)
-                dG = np.stack([gs[-i] - gs[-i - 1] for i in range(1, m + 1)], axis=1)
-                gamma, *_ = np.linalg.lstsq(F, g - z, rcond=None)
-                lam = sc.damping
-                z_next = (1.0 - lam) * (z - dZ @ gamma) + lam * (g - dG @ gamma)
-                s = _unflatten(z_next, s)
-            else:
-                s = Ts if sc.damping == 1.0 else pair_lincomb(1.0 - sc.damping, s,
-                                                              sc.damping, Ts)
+            zs.append(_flatten(s))
+            gs.append(_flatten(Ts))
             if len(zs) > sc.anderson_depth + 1:
                 zs.pop(0)
                 gs.pop(0)
+            m = len(zs) - 1
+        if m > 0:
+            z, g = zs[-1], gs[-1]
+            F = np.stack([(gs[-i] - zs[-i]) - (gs[-i - 1] - zs[-i - 1])
+                          for i in range(1, m + 1)], axis=1)
+            dZ = np.stack([zs[-i] - zs[-i - 1] for i in range(1, m + 1)], axis=1)
+            dG = np.stack([gs[-i] - gs[-i - 1] for i in range(1, m + 1)], axis=1)
+            gamma, *_ = np.linalg.lstsq(F, g - z, rcond=None)
+            lam = sc.damping
+            z_next = (1.0 - lam) * (z - dZ @ gamma) + lam * (g - dG @ gamma)
+            s = _unflatten(z_next, s)
         elif sc.damping == 1.0:
             s = Ts
         else:

@@ -222,6 +222,26 @@ def test_study_requires_an_axis(tmp_path):
     assert res.returncode == 1
 
 
+def test_study_validates_the_problem_like_solve(tmp_path):
+    # an arithmetic rule with a negative step is not increasing: study stops
+    # before its first level with solve's validation report
+    doc = json.loads(ZERO_DOC)
+    doc["impulses"] = {"u": {"schedule": {"rule": "arithmetic", "start": 1.0,
+                                          "step": -0.5}}}
+    prob = tmp_path / "decreasing.json"
+    prob.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    study = run_cli("study", str(prob), "--out-dir", str(out),
+                    "--horizons", "5,10", "--mesh-spacing", "0.1")
+    solve = run_cli("solve", str(prob), "--out-dir", str(tmp_path / "s"),
+                    "--horizon", "10", "--mesh-spacing", "0.1")
+    assert study.returncode == solve.returncode == 1
+    assert study.stderr == solve.stderr
+    assert study.stderr.startswith("problem validation failed:\n  u_schedule: ")
+    assert "'non_monotone_at_index': 2" in study.stderr
+    assert not (out / "study.csv").exists()
+
+
 def test_out_dir_env_var(zero_file, tmp_path, monkeypatch):
     import os
     env = dict(os.environ)

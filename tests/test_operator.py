@@ -550,8 +550,7 @@ def test_plan_arrays_are_gauss_major():
     spts, wts = _gauss_panels(plan.boundaries)  # panel-major
     assert np.array_equal(plan.spts, spts.T) and np.array_equal(plan.wts, wts.T)
     for mp in (plan.u, plan.v):
-        for a in (plan.spts, plan.wts, mp.w00, mp.w10, mp.w01, mp.w11,
-                  mp.da, mp.db, mp.dc):
+        for a in (plan.spts, plan.wts, *mp.weights):
             assert a.shape == (GAUSS_ORDER, npanels) and a.flags.c_contiguous
         for a in (mp.s_lo, mp.s_hi, mp.h):
             assert a.shape == (npanels,)
