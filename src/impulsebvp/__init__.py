@@ -15,8 +15,7 @@ from .audit import (CaratheodoryBounds, HypothesisReport, check_ball_invariance,
                     compute_rho2_entries, run_audit, sample_ball_pair)
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, apply_jump,
                       build_mesh, constant_fn, difference_norm, fn_lincomb,
-                      norm_X, norm_deriv_sup, norm_weighted_sup, pair_lincomb,
-                      write_csv)
+                      norm_X, norm_deriv_sup, norm_weighted_sup, pair_lincomb)
 from .kernel import boundary_weight_sup, green, kernel_weight_sup
 from .manufactured import manufactured_problem
 from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
@@ -50,5 +49,4 @@ __all__ = [
     "pair_lincomb", "pendulum_bound_Phi", "pendulum_bound_Psi",
     "problem_meshes", "run_audit", "sample_ball_pair",
     "semiinfinite_integral", "solve", "validate_problem", "verify_residuals",
-    "write_csv",
 ]

@@ -20,7 +20,7 @@ at rho2) probes the literal self-mapping.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,20 +106,7 @@ class HypothesisReport:
         return all(self.verdicts.values())
 
     def to_dict(self):
-        return {
-            "rho": self.rho,
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "rho2_entries": self.rho2_entries,
-            "domination_violations": self.domination_violations,
-            "impulse_violations": self.impulse_violations,
-            "summability_partial_sums": self.summability_partial_sums,
-            "summability_tails": self.summability_tails,
-            "ball_tested": self.ball_tested,
-            "ball_inside": self.ball_inside,
-            "verdicts": self.verdicts,
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
     def to_json(self, path=None, indent=2):
         text = json.dumps(self.to_dict(), indent=indent)
@@ -152,8 +139,8 @@ def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     States are drawn with |x|, |y| < rho (1+t) and |z|, |w| < rho; when the
     bounds carry a ``u_floor``, x is drawn from [u_floor, rho (1+t)) so the
     h-dominator's domain assumption holds.  Returns the violation list
-    (empty = pass on the sample set); non-finite dominator values count as
-    violations.
+    (empty = pass on the sample set); non-finite dominator values and NaN
+    right-hand-side values count as violations.
     """
     if rho <= 0 or samples <= 0:
         raise ValueError("rho and samples must be positive")
@@ -176,7 +163,7 @@ def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     for name, fn, dom in (("f", p.f, b.Phi), ("h", p.h, b.Psi)):
         vals = np.abs(fn(t, x, y, z, w))
         cap = np.asarray(dom(rho, t), dtype=float)
-        bad = ~np.isfinite(cap) | (vals > cap * (1.0 + _REL_SLACK) + _REL_SLACK)
+        bad = ~np.isfinite(cap) | ~(vals <= cap * (1.0 + _REL_SLACK) + _REL_SLACK)
         for i in np.nonzero(bad)[0]:
             out.append({"rhs": name, "t": float(t[i]), "x": float(x[i]),
                         "y": float(y[i]), "z": float(z[i]), "w": float(w[i]),
@@ -188,6 +175,7 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
                          K, seed=0, samples_per_point=8):
     """Check |I0k| <= phi_k, |I1k| <= psi_k (and the J analogues) for k <= K,
     and accumulate the bound sequences' partial sums with tail estimates.
+    A NaN map value counts as a violation.
 
     Returns (violations, partial_sums, tails); ``partial_sums`` maps each
     sequence name to its K-term sum, ``tails`` to a bound on the rest (from
@@ -226,7 +214,7 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
             bb = rng.uniform(-rho, rho, size=pts.size)
             vals = np.abs(np.atleast_1d(mp(pts, a, bb)))
             cap_k = caps[:pts.size]
-            bad = vals > cap_k * (1.0 + _REL_SLACK) + _REL_SLACK
+            bad = ~(vals <= cap_k * (1.0 + _REL_SLACK) + _REL_SLACK)
             for i in np.nonzero(bad)[0]:
                 violations.append({"family": name, "k": int(kk[i]),
                                    "point": float(pts[i]), "a": float(a[i]),

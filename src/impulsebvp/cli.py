@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .audit import run_audit
-from .fnspace import difference_norm, norm_X
+from .fnspace import (_eval_on_slots, _union_mesh, difference_norm, norm_X,
+                      slot_sides)
 from .model import validate_problem
 from .operator import QuadratureConfig
 from .problemfile import load_problem_file
@@ -146,8 +147,7 @@ def _write_manifest(out, args, qc=None, sc=None):
         manifest["quadrature_config"] = dataclasses.asdict(qc)
     if sc is not None:
         manifest["solver_config"] = {
-            "max_iter": sc.max_iter, "tol": sc.tol, "damping": sc.damping,
-            "anderson_depth": sc.anderson_depth,
+            **vars(sc),
             "initial_guess": (sc.initial_guess
                               if isinstance(sc.initial_guess, str)
                               else "user-supplied")}
@@ -156,30 +156,15 @@ def _write_manifest(out, args, qc=None, sc=None):
 
 
 def _side_rows(pair):
-    """Columns (t, side, u, u', v, v') over the union grid, ascending, with a
-    '-' row then a '+' row at every impulse time of either component.
+    """Columns (t, side, u, u', v, v') over the slots of the pair's union
+    mesh: the union grid, ascending, with a '-' row then a '+' row at every
+    impulse time of either component.
 
     A component that jumps at a '+' row's time reports its right-slot
     values there; every other row is the left-continuous evaluation."""
-    u, v = pair.u, pair.v
-    times = np.union1d(u.mesh.grid, v.mesh.grid)
-    jumps = np.union1d(u.mesh.grid[u.mesh.doubled_nodes()],
-                       v.mesh.grid[v.mesh.doubled_nodes()])
-    reps = 1 + np.isin(times, jumps)
-    first = np.cumsum(reps) - reps  # row of each time's first (or only) row
-    t = np.repeat(times, reps)
-    side = np.full(t.size, "", dtype="<U1")
-    side[first[reps == 2]] = "-"
-    side[first[reps == 2] + 1] = "+"
-    cols = [t, side]
-    for fn in (u, v):
-        val, der = fn.value_and_deriv(t)
-        d = fn.mesh.doubled_nodes()
-        plus = first[np.searchsorted(times, fn.mesh.grid[d])] + 1
-        val[plus] = fn.values[fn.mesh.right_slot[d]]
-        der[plus] = fn.derivs[fn.mesh.right_slot[d]]
-        cols += [val, der]
-    return cols
+    mesh = _union_mesh(pair.u.mesh, pair.v.mesh)
+    return [mesh.nodes, slot_sides(mesh),
+            *_eval_on_slots(pair.u, mesh), *_eval_on_slots(pair.v, mesh)]
 
 
 # per-row templates by side label; the CSV rows are what csv.writer makes of

@@ -15,7 +15,6 @@ induced by the affine tail.  All objects are immutable; operations return
 new instances.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "pair_lincomb",
     "difference_norm",
     "slot_sides",
-    "write_csv",
 ]
 
 
@@ -341,6 +339,17 @@ def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     return vals, ders
 
 
+def _union_mesh(a: Mesh, b: Mesh) -> Mesh:
+    """The union of two meshes' grids, doubled at either one's impulse times."""
+    grid = np.union1d(a.grid, b.grid)
+    pts = np.union1d(a.impulse_times, b.impulse_times)
+    doubled = np.zeros(grid.size, dtype=int)
+    doubled[np.searchsorted(grid, pts)] = 1
+    left_slot = np.arange(grid.size) + np.cumsum(doubled) - doubled
+    return Mesh(nodes=np.repeat(grid, 1 + doubled), grid=grid, left_slot=left_slot,
+                right_slot=left_slot + doubled, impulse_times=pts)
+
+
 def difference_norm(sa: SolutionPair, sb: SolutionPair) -> float:
     """||sa - sb||_X over sa's domain, evaluating sb at sa's node slots.
 
@@ -381,11 +390,3 @@ def slot_sides(mesh: Mesh):
     sides[mesh.right_slot[d]] = "+"
     return sides
 
-
-def write_csv(x: PiecewiseC1Function, path):
-    """Serialize to CSV with columns t, side (-/+ at doubled nodes), value, deriv."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "side", "value", "deriv"])
-        w.writerows(zip(map(repr, x.mesh.nodes.tolist()), slot_sides(x.mesh).tolist(),
-                        map(repr, x.values.tolist()), map(repr, x.derivs.tolist())))

@@ -12,6 +12,7 @@ to be pure, so concurrent evaluation is safe.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -107,6 +108,10 @@ class ImpulseSchedule:
     def __post_init__(self):
         if self.points is not None:
             pts = tuple(float(p) for p in self.points)
+            bad = [i for i, p in enumerate(pts) if not math.isfinite(p)]
+            if bad:
+                raise ValueError(f"impulse times must be finite: points[{bad[0]}] = "
+                                 f"{pts[bad[0]]!r}")
             if any(p <= 0 for p in pts):
                 raise ValueError("impulse times must be positive")
             if any(b <= a for a, b in zip(pts, pts[1:])):

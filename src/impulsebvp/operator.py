@@ -50,7 +50,7 @@ fixed configuration, with or without a plan.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -131,13 +131,7 @@ class TruncationReport:
     warn_integral_tail: bool = False
 
     def to_dict(self):
-        return {
-            "integral_tail_estimate": self.integral_tail_estimate,
-            "impulse_tail_estimate": self.impulse_tail_estimate,
-            "K_used": self.K_used,
-            "tails_are_bounds": self.tails_are_bounds,
-            "warn_integral_tail": self.warn_integral_tail,
-        }
+        return asdict(self)
 
 
 def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
@@ -229,12 +223,10 @@ def _impulse_tail(q, schedule, tail0, tail1, c_abs, in_ball):
 
 
 def _check_mesh_matches(mesh, sched, p, q, which):
-    pts = sched.points_between(p.t0, q.horizon)
-    if not np.array_equal(mesh.impulse_times, pts):
+    if not np.array_equal(mesh.impulse_times, sched.points_between(p.t0, q.horizon)):
         raise ValueError(
             f"{which}-mesh impulse nodes do not match the schedule inside "
             f"(t0, horizon); rebuild the iterate with problem_meshes()")
-    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,26 +245,26 @@ class _MeshPlan:
     The few Gauss points that coincide with a grid node (the ends of panels
     a rounding error wide) are listed in ``on_node`` (flat indices) and read
     ``node_slot`` (the left slot, by the left-continuity convention).
-    ``lo``/``hi`` are the left and right slots of the impulse nodes, in
-    schedule order.
+    Per slot, ``panel`` indexes its time in the panel boundaries (the
+    moments up to it are ``C0[panel]``, ``C1[panel]``) and ``cnt`` counts
+    the impulse times before it.  ``lo``/``hi`` are the left and right
+    slots of the mesh's doubled nodes, its impulse times in ascending order.
     """
 
     mesh: Mesh
-    sched_pts: np.ndarray
     s_lo: np.ndarray
     s_hi: np.ndarray
     h: np.ndarray
     weights: tuple
     on_node: np.ndarray
     node_slot: np.ndarray
-    gidx: np.ndarray
-    slot_to_grid: np.ndarray
+    panel: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     cnt: np.ndarray
 
     @staticmethod
-    def build(mesh, sched_pts, boundaries, spts):
+    def build(mesh, boundaries, spts):
         grid = mesh.grid
         j = np.minimum(np.searchsorted(grid, boundaries[:-1], side="right") - 1,
                        grid.size - 2)
@@ -283,22 +275,14 @@ class _MeshPlan:
         at_hi = spts == x1
         on_node = np.flatnonzero(at_hi | (spts == x0))
         node = j[on_node % j.size] + at_hi.ravel()[on_node]
-        gr = np.arange(grid.size)
-        slot_to_grid = np.empty(mesh.n_slots, dtype=int)
-        slot_to_grid[mesh.left_slot] = gr
-        slot_to_grid[mesh.right_slot] = gr
-        knot = np.searchsorted(grid, sched_pts)
-        lo = mesh.left_slot[knot]
-        hi = mesh.right_slot[knot]
-        cnt = np.searchsorted(sched_pts, mesh.nodes, side="left")
-        cnt[hi] += 1
+        knot = mesh.doubled_nodes()
         return _MeshPlan(
-            mesh=mesh, sched_pts=sched_pts,
-            s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
+            mesh=mesh, s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
             weights=tuple(_hermite_weights((spts - x0) / h, h)),
             on_node=on_node, node_slot=mesh.left_slot[node],
-            gidx=np.searchsorted(boundaries, grid), slot_to_grid=slot_to_grid,
-            lo=lo, hi=hi, cnt=cnt)
+            panel=np.searchsorted(boundaries, mesh.nodes),
+            lo=mesh.left_slot[knot], hi=mesh.right_slot[knot],
+            cnt=np.searchsorted(mesh.impulse_times, mesh.nodes, side="left"))
 
     def interpolate(self, x: PiecewiseC1Function):
         """x and x' at the plan's Gauss points, in ``spts.ravel()`` order,
@@ -321,10 +305,10 @@ class OperatorPlan:
     Holds the panel boundaries (the union of both grids, refined so every
     piece between impulse times has ``PANELS_PER_PIECE`` panels), the
     Gauss points and weights, and per component a :class:`_MeshPlan` with
-    the schedule points, the Hermite gathers and weights at the Gauss
-    points and the slot bookkeeping of the assembly.  When both meshes
-    have the same layout and schedule points, ``u`` and ``v`` are one
-    object.
+    the Hermite gathers and weights at the Gauss points and the per-slot
+    bookkeeping of the assembly (panel index, impulse count, and the
+    impulse slots, read off the mesh's doubled nodes).  When both meshes
+    have the same layout, ``u`` and ``v`` are one object.
     """
 
     problem: ImpulsiveCoupledBVP
@@ -340,16 +324,15 @@ class OperatorPlan:
               v_mesh: Mesh) -> "OperatorPlan":
         """Plan for iterates on (u_mesh, v_mesh); the meshes must carry the
         schedules' nodes inside (t0, horizon), as problem_meshes() builds."""
-        pts_u = _check_mesh_matches(u_mesh, p.u_schedule, p, q, "u")
-        pts_v = _check_mesh_matches(v_mesh, p.v_schedule, p, q, "v")
+        _check_mesh_matches(u_mesh, p.u_schedule, p, q, "u")
+        _check_mesh_matches(v_mesh, p.v_schedule, p, q, "v")
         if u_mesh.horizon != q.horizon:
             raise ValueError("iterate horizon does not match the quadrature config")
         hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
         boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
         spts, wts = _gauss_panels(boundaries, gauss_major=True)
-        u = _MeshPlan.build(u_mesh, pts_u, boundaries, spts)
-        same = v_mesh.same_layout(u_mesh) and np.array_equal(pts_v, pts_u)
-        v = u if same else _MeshPlan.build(v_mesh, pts_v, boundaries, spts)
+        u = _MeshPlan.build(u_mesh, boundaries, spts)
+        v = u if v_mesh.same_layout(u_mesh) else _MeshPlan.build(v_mesh, boundaries, spts)
         return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
                             wts=wts, u=u, v=v)
 
@@ -399,38 +382,36 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
     """Assemble one operator component on the iterate's mesh."""
     mesh = x_self.mesh
     nodes = mesh.nodes
-    sched_pts = mp.sched_pts
-    if sched_pts.size:
+    pts = mesh.impulse_times
+    if pts.size:
         a_left, b_left = x_self.values[mp.lo], x_self.derivs[mp.lo]
-        c0 = np.atleast_1d(m0_map(sched_pts, a_left, b_left)).astype(float)
-        c1 = np.atleast_1d(m1_map(sched_pts, a_left, b_left)).astype(float)
+        c0 = np.atleast_1d(m0_map(pts, a_left, b_left)).astype(float)
+        c1 = np.atleast_1d(m1_map(pts, a_left, b_left)).astype(float)
         bad = ~(np.isfinite(c0) & np.isfinite(c1))
         if np.any(bad):
             i = int(np.nonzero(bad)[0][0])
-            raise EvaluationError("impulse map", sched_pts[i],
+            raise EvaluationError("impulse map", pts[i],
                                   (a_left[i], b_left[i], c0[i], c1[i]))
     else:
         c0 = np.zeros(0)
         c1 = np.zeros(0)
     prefix0 = np.concatenate(([0.0], np.cumsum(c0)))
     prefix1 = np.concatenate(([0.0], np.cumsum(c1)))
-    prefix1p = np.concatenate(([0.0], np.cumsum(c1 * sched_pts)))
+    prefix1p = np.concatenate(([0.0], np.cumsum(c1 * pts)))
     S1 = prefix1[-1]
     total0 = C0[-1]
 
-    grid = mesh.grid
-    gidx = mp.gidx
-    ival_grid = -(C1[gidx] + grid * (total0 - C0[gidx]))
-    ider_grid = -(total0 - C0[gidx])
-
-    cnt = mp.cnt
+    panel, cnt = mp.panel, mp.cnt
+    ival = -(C1[panel] + nodes * (total0 - C0[panel]))
+    ider = -(total0 - C0[panel])
     pulse_val = prefix0[cnt] + nodes * prefix1[cnt] - prefix1p[cnt]
     pulse_der = prefix1[cnt]
 
-    values = A + B * nodes + pulse_val - nodes * S1 + ival_grid[mp.slot_to_grid]
-    derivs = B + pulse_der - S1 + ider_grid[mp.slot_to_grid]
+    values = A + B * nodes + pulse_val - nodes * S1 + ival
+    derivs = B + pulse_der - S1 + ider
 
-    # insert the jumps algebraically: right slot = left slot + jump, exactly
+    # insert the jumps algebraically: right slot = left slot + jump, exactly;
+    # this overwrites every right slot, so cnt need not count its own impulse
     values[mp.hi] = values[mp.lo] + c0
     derivs[mp.hi] = derivs[mp.lo] + c1
 
@@ -476,7 +457,7 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     report = TruncationReport(
         integral_tail_estimate=max(tf, th),
         impulse_tail_estimate=max(iu, iv),
-        K_used=max(int(plan.u.sched_pts.size), int(plan.v.sched_pts.size)),
+        K_used=max(plan.u.mesh.impulse_times.size, plan.v.mesh.impulse_times.size),
         tails_are_bounds=bf and ibu and bh and ibv,
         warn_integral_tail=wf or wh)
     return SolutionPair(u=out_u, v=out_v), report

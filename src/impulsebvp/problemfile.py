@@ -144,17 +144,29 @@ SEQ_BOUND_REGISTRY = {
 }
 
 
+def _lookup(registry, what, name, where=""):
+    """``registry[name]``, or a KeyError naming ``what`` and listing the registry."""
+    if name not in registry:
+        raise KeyError(f"unknown {what} {name!r}{where}; registry: {sorted(registry)}")
+    return registry[name]
+
+
+def _make(cls, registry, what, spec):
+    """``cls`` (RhsFunction or ImpulseMap) of a {"name", "params"} spec; zero if absent."""
+    if spec is None:
+        spec = {"name": "zero"}
+    name, params = spec["name"], spec.get("params", {})
+    return cls(_lookup(registry, what, name)(**params), name=name, params=dict(params))
+
+
 def _make_bounds(spec):
     if spec is None:
         return None
 
     def pick(key, registry):
         sub = spec.get(key, {"name": "zero"})
-        name = sub["name"]
-        if name not in registry:
-            raise KeyError(f"unknown bound family {name!r} for {key}; "
-                           f"registry: {sorted(registry)}")
-        return registry[name](**sub.get("params", {}))
+        fam = _lookup(registry, "bound family", sub["name"], f" for {key}")
+        return fam(**sub.get("params", {}))
 
     Phi, tail_f = pick("Phi", BOUND_REGISTRY)
     Psi, tail_h = pick("Psi", BOUND_REGISTRY)
@@ -169,26 +181,6 @@ def _make_bounds(spec):
         seq_tail_phi=t_phi, seq_tail_psi=t_psi,
         seq_tail_phij=t_phij, seq_tail_theta=t_theta,
         u_floor=spec.get("u_floor"))
-
-
-def _make_rhs(spec) -> RhsFunction:
-    if spec is None:
-        spec = {"name": "zero"}
-    name = spec["name"]
-    params = spec.get("params", {})
-    if name not in RHS_REGISTRY:
-        raise KeyError(f"unknown rhs {name!r}; registry: {sorted(RHS_REGISTRY)}")
-    return RhsFunction(RHS_REGISTRY[name](**params), name=name, params=dict(params))
-
-
-def _make_map(spec) -> ImpulseMap:
-    if spec is None:
-        spec = {"name": "zero"}
-    name = spec["name"]
-    params = spec.get("params", {})
-    if name not in IMPULSE_REGISTRY:
-        raise KeyError(f"unknown impulse map {name!r}; registry: {sorted(IMPULSE_REGISTRY)}")
-    return ImpulseMap(IMPULSE_REGISTRY[name](**params), name=name, params=dict(params))
 
 
 def _make_schedule(spec) -> ImpulseSchedule:
@@ -225,10 +217,7 @@ MODEL_REGISTRY = {
 def load_problem(doc) -> ImpulsiveCoupledBVP:
     """Build a problem from a parsed JSON document (a dict)."""
     if "model" in doc:
-        name = doc["model"]
-        if name not in MODEL_REGISTRY:
-            raise KeyError(f"unknown model {name!r}; registry: {sorted(MODEL_REGISTRY)}")
-        return MODEL_REGISTRY[name](**doc.get("params", {}))
+        return _lookup(MODEL_REGISTRY, "model", doc["model"])(**doc.get("params", {}))
 
     bd = doc.get("boundary")
     if bd is None:
@@ -240,15 +229,15 @@ def load_problem(doc) -> ImpulsiveCoupledBVP:
     u_spec = imp.get("u", {})
     v_spec = imp.get("v", {})
     return ImpulsiveCoupledBVP(
-        f=_make_rhs(rhs.get("f")),
-        h=_make_rhs(rhs.get("h")),
+        f=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("f")),
+        h=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("h")),
         boundary=boundary,
         u_schedule=_make_schedule(u_spec.get("schedule")),
         v_schedule=_make_schedule(v_spec.get("schedule")),
-        I0=_make_map(u_spec.get("I0")),
-        I1=_make_map(u_spec.get("I1")),
-        J0=_make_map(v_spec.get("J0")),
-        J1=_make_map(v_spec.get("J1")),
+        I0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I0")),
+        I1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I1")),
+        J0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J0")),
+        J1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J1")),
         t0=float(doc.get("t0", 0.0)),
         bounds=_make_bounds(doc.get("bounds")),
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ def test_domination_reproducible_for_fixed_seed():
     a1 = check_domination(p, b, rho=1.0, samples=300, seed=9)
     a2 = check_domination(p, b, rho=1.0, samples=300, seed=9)
     assert a1 == a2 and len(a1) > 0
+
+
+def test_nan_rhs_and_map_values_are_violations():
+    # a comparison with NaN is false, so "value > cap" let NaN pass as dominated
+    pend = build_pendulum_problem(PendulumParams())
+    f = pend.f
+    p = dataclasses.replace(pend, f=RhsFunction(
+        lambda t, x, y, z, w: np.where(z > 0.5, np.nan, f(t, x, y, z, w)), name="nan-f"))
+    out = check_domination(p, p.bounds, rho=1.0, samples=2000, seed=0)
+    assert out and all(v["rhs"] == "f" and np.isnan(v["abs_value"]) for v in out)
+    assert all(v["z"] > 0.5 for v in out)
+    nan_map = ImpulseMap(lambda pp, a, b: np.full_like(pp, np.nan), name="nan")
+    viol, _, _ = check_impulse_bounds(dataclasses.replace(pend, I0=nan_map),
+                                      pend.bounds, rho=1.0, K=50)
+    assert len(viol) == 50 * 8 and {v["family"] for v in viol} == {"I0"}
 
 
 def test_impulse_bounds_zero_maps_pass():

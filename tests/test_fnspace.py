@@ -6,7 +6,7 @@ import pytest
 from impulsebvp.fnspace import (PiecewiseC1Function, _eval_on_slots, apply_jump, build_mesh,
                                 constant_fn, difference_norm, fn_lincomb,
                                 norm_X, norm_deriv_sup, norm_weighted_sup,
-                                pair_lincomb, write_csv, SolutionPair)
+                                pair_lincomb, SolutionPair)
 
 
 def from_callable(mesh, fn, dfn, tail=0.0):
@@ -198,18 +198,6 @@ def test_difference_norm_restricts_to_common_domain():
     assert difference_norm(a, c) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_csv_serialization(tmp_path):
-    m = build_mesh(0.0, 2.0, [1.0], spacing=0.5)
-    x = apply_jump(constant_fn(m, 0.0, 1.0), 1.0, 0.25, 0.0)
-    path = tmp_path / "fn.csv"
-    write_csv(x, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,side,value,deriv"
-    assert len(lines) == 1 + m.n_slots
-    sides = [ln.split(",")[1] for ln in lines[1:]]
-    assert sides.count("-") == 1 and sides.count("+") == 1
-
-
 def _build_mesh_loop(t0, horizon, impulse_times=(), spacing=0.01):
     """Reference: the node-by-node mesh construction."""
     pts = np.asarray(sorted(p for p in np.atleast_1d(np.asarray(impulse_times, dtype=float))
@@ -283,24 +271,6 @@ def test_eval_on_slots_matches_the_impulse_loop():
     got = _eval_on_slots(x, coarse)
     want = _eval_on_slots_loop(x, coarse)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
-def test_csv_serialization_matches_the_slot_loop(tmp_path):
-    import csv
-    m = build_mesh(0.0, 6.0, [1.0, 2.5, 2.51], spacing=0.2)
-    x = from_callable(m, np.sin, np.cos, tail=0.5)
-    x = apply_jump(apply_jump(x, 1.0, 0.25, -0.5), 2.51, 0.1, 0.0)
-    write_csv(x, tmp_path / "new.csv")
-    left = {m.impulse_slots(p)[0] for p in m.impulse_times}
-    right = {m.impulse_slots(p)[1] for p in m.impulse_times}
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "side", "value", "deriv"])
-        for i, t in enumerate(m.nodes):
-            side = "-" if i in left else ("+" if i in right else "")
-            w.writerow([repr(float(t)), side, repr(float(x.values[i])),
-                        repr(float(x.derivs[i]))])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _eval_reference(x, t, derivative):

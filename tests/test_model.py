@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,9 @@ def test_schedule_explicit_points_validation():
         ImpulseSchedule(points=(1.0, 1.0))
     with pytest.raises(ValueError):
         ImpulseSchedule(points=(-1.0, 2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"points\[1\]"):
+            ImpulseSchedule(points=(1.0, bad))
     s = ImpulseSchedule(points=(0.5, 1.5, 9.0))
     assert s.point(2) == 1.5
     assert list(s.points_below(2.0)) == [0.5, 1.5]

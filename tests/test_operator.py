@@ -534,7 +534,7 @@ def test_plan_shares_one_mesh_plan_between_identical_meshes():
         # outputs live on the iterate's own meshes
         assert image.u.mesh is s.u.mesh and image.v.mesh is s.v.mesh
         separate = dataclasses.replace(plan, v=_MeshPlan.build(
-            s.v.mesh, plan.v.sched_pts, plan.boundaries, plan.spts))
+            s.v.mesh, plan.boundaries, plan.spts))
         again, _ = apply_T(p, s, qc, separate)
         for a, b in ((image.u, again.u), (image.v, again.v)):
             assert np.array_equal(a.values, b.values)

@@ -67,6 +67,12 @@ def test_unknown_names_rejected():
     with pytest.raises(KeyError):
         load_problem({"boundary": {"A1": 0, "A2": 0, "B1": 0, "B2": 0},
                       "impulses": {"u": {"schedule": {"rule": "fibonacci"}}}})
+    with pytest.raises(KeyError, match="unknown impulse map 'no-such-map'"):
+        load_problem({"boundary": {"A1": 0, "A2": 0, "B1": 0, "B2": 0},
+                      "impulses": {"v": {"J1": {"name": "no-such-map"}}}})
+    with pytest.raises(KeyError, match="unknown bound family 'no-such-bound' for psi_seq"):
+        load_problem({"boundary": {"A1": 0, "A2": 0, "B1": 0, "B2": 0},
+                      "bounds": {"psi_seq": {"name": "no-such-bound"}}})
     with pytest.raises(KeyError):
         load_problem({})  # boundary is mandatory
 

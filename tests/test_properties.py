@@ -1,5 +1,6 @@
 """Property tests of point evaluation, the operator plan's interpolation,
-jumps and linear combinations, on drawn meshes, impulse times and slot data.
+jumps, linear combinations and the operator assembly, on drawn meshes,
+impulse times, slot data and problems.
 
 They run where hypothesis is installed (the ``test`` extra); the runtime
 dependency stays numpy only.  The settings are derandomized and keep no
@@ -16,10 +17,12 @@ from hypothesis import configuration, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from impulsebvp.fnspace import (PiecewiseC1Function, apply_jump,  # noqa: E402
-                                build_mesh, fn_lincomb)
-from impulsebvp.operator import (_gauss_panels, _MeshPlan,  # noqa: E402
-                                 _refined_boundaries)
+from impulsebvp.fnspace import (PiecewiseC1Function, SolutionPair,  # noqa: E402
+                                apply_jump, build_mesh, fn_lincomb)
+from impulsebvp.operator import (OperatorPlan, QuadratureConfig,  # noqa: E402
+                                 _gauss_panels, _MeshPlan, _refined_boundaries,
+                                 apply_T, impulse_sums, problem_meshes)
+from impulsebvp.problemfile import load_problem  # noqa: E402
 from test_fnspace import _eval_reference  # noqa: E402
 
 
@@ -87,7 +90,7 @@ def test_plan_interpolation_is_point_evaluation(data):
     boundaries = _refined_boundaries(np.union1d(mesh.grid, other.grid),
                                      np.union1d(mesh.impulse_times, other.impulse_times))
     spts, _ = _gauss_panels(boundaries, gauss_major=True)
-    mp = _MeshPlan.build(mesh, mesh.impulse_times, boundaries, spts)
+    mp = _MeshPlan.build(mesh, boundaries, spts)
     x = data.draw(functions(mesh))
     val, der = mp.interpolate(x)
     flat = spts.ravel()
@@ -135,3 +138,98 @@ def test_fn_lincomb_is_linear(data):
     for got, xs, ys in zip(z.value_and_deriv(t), x.value_and_deriv(t),
                            y.value_and_deriv(t)):
         assert np.max(np.abs(got - (a * xs + b * ys)), initial=0.0) <= 1e-12 * scale
+
+
+# multiples of 2**-6 in [-1, 1]: small enough that the operator's prefix sums
+# and impulse_sums' direct sums agree far below the tolerance used below
+COEF = st.integers(-64, 64).map(lambda k: k / 64.0)
+
+
+@st.composite
+def problems(draw, zero_rhs=False):
+    """(problem, config, iterate): explicit schedules in (0, H) on multiples
+    of 1/64 (u has at least one point; v sometimes shares u's), `linear`
+    impulse maps and, unless ``zero_rhs``, `linear_state_decay` right-hand
+    sides, all with dyadic coefficients; the iterate has dyadic slot data."""
+    horizon = float(draw(st.integers(2, 10)))
+    ticks = st.integers(1, 64 * int(horizon) - 1)
+
+    def points(min_size):
+        ks = draw(st.lists(ticks, min_size=min_size, max_size=6, unique=True))
+        return sorted(k / 64.0 for k in ks)
+
+    def linear():
+        return {"name": "linear", "params": {c: draw(COEF) for c in ("c0", "ca", "cb")}}
+
+    def rhs():
+        if zero_rhs:
+            return {"name": "zero"}
+        params = {c: draw(COEF) for c in ("c0", "cx", "cy", "cz", "cw")}
+        return {"name": "linear_state_decay", "params": {**params, "rate": 1.0}}
+
+    u_pts = points(1)
+    v_pts = u_pts if draw(st.booleans()) else points(0)
+    p = load_problem({
+        "boundary": {k: draw(COEF) for k in ("A1", "A2", "B1", "B2")},
+        "rhs": {"f": rhs(), "h": rhs()},
+        "impulses": {"u": {"schedule": {"points": u_pts}, "I0": linear(), "I1": linear()},
+                     "v": {"schedule": {"points": v_pts}, "J0": linear(), "J1": linear()}},
+    })
+    q = QuadratureConfig(horizon=horizon,
+                         mesh_spacing=draw(st.sampled_from((0.125, 0.25, 0.5))))
+    data = st.integers(-128, 128).map(lambda k: k / 64.0)
+    mu, mv = problem_meshes(p, q)
+    s = SolutionPair(u=draw(functions(mu, data)), v=draw(functions(mv, data)))
+    return p, q, s
+
+
+def _components(p, s, image):
+    """(iterate component, image component, value map, derivative map, A, B)."""
+    b = p.boundary
+    return ((s.u, image.u, p.I0, p.I1, b.A1, b.B1),
+            (s.v, image.v, p.J0, p.J1, b.A2, b.B2))
+
+
+@PROPERTY
+@given(problems())
+def test_operator_jump_is_the_map_at_the_left_limits(case):
+    p, q, s = case
+    image, _ = apply_T(p, s, q)
+    for x, y, m0, m1, _, _ in _components(p, s, image):
+        mesh = x.mesh
+        d = mesh.doubled_nodes()
+        lo, hi = mesh.left_slot[d], mesh.right_slot[d]
+        a, b = x.left_limits_at(mesh.impulse_times)
+        assert np.array_equal(y.values[hi], y.values[lo] + m0(mesh.impulse_times, a, b))
+        assert np.array_equal(y.derivs[hi], y.derivs[lo] + m1(mesh.impulse_times, a, b))
+
+
+@PROPERTY
+@given(problems(zero_rhs=True))
+def test_zero_rhs_operator_is_the_affine_part_plus_impulse_sums(case):
+    # with f = h = 0, T1 = A1 + B1 t + sum_{t_k < t}[I0k + I1k (t - t_k)] - t sum_k I1k
+    p, q, s = case
+    image, _ = apply_T(p, s, q)
+    for x, y, m0, m1, A, B in _components(p, s, image):
+        sched = p.u_schedule if x is s.u else p.v_schedule
+        grid = x.mesh.grid
+        for t, got in zip(grid, y(grid)):
+            partial, full = impulse_sums(sched, m0, m1, x, t, q.horizon)
+            want = A + B * t + partial - t * full
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@PROPERTY
+@given(problems())
+def test_operator_is_bitwise_repeatable_with_and_without_a_plan(case):
+    p, q, s = case
+    plan = OperatorPlan.build(p, q, s.u.mesh, s.v.mesh)
+    first, r1 = apply_T(p, s, q, plan)
+    again, r2 = apply_T(p, s, q, plan)
+    planless, r3 = apply_T(p, s, q)
+    assert r1 == r2 == r3
+    for other in (again, planless):
+        for a, b in ((first.u, other.u), (first.v, other.v)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.derivs, b.derivs)
+            assert a.tail_slope == b.tail_slope
