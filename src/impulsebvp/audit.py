@@ -382,8 +382,8 @@ def check_ball_invariance(p: ImpulsiveCoupledBVP, b: Optional[CaratheodoryBounds
     rng = np.random.default_rng(seed)
     radius = rho2 if sample_radius is None else sample_radius
     floor = b.u_floor if b is not None else None
-    meshes = problem_meshes(p, qc)
-    plan = OperatorPlan.build(p, qc, *meshes)
+    plan = OperatorPlan.build(p, qc)
+    meshes = plan.u.mesh, plan.v.mesh
     inside = 0
     tested = 0
     for _ in range(samples):

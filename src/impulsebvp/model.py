@@ -28,7 +28,7 @@ __all__ = [
     "validate_problem",
 ]
 
-_ENUM_CAP = 10_000_000
+_ENUM_CAP = 100_000  # rule calls per enumeration; no plan holds this many impulses
 
 
 class _ScheduleOrderError(ValueError):
@@ -97,9 +97,10 @@ class ImpulseSchedule:
 
     Either an explicit finite tuple ``points`` or a ``rule`` mapping the
     1-based index k to the k-th time.  Infinite schedules are enumerated
-    lazily below any finite horizon; the enumeration always terminates
-    because the times diverge, and stops with a ValueError naming the index
-    at the first rule value that does not exceed its predecessor.
+    lazily below any finite horizon.  The enumeration stops with a
+    ValueError naming the index and value at the first rule value that does
+    not exceed its predecessor, or at the ``_ENUM_CAP``-th time below the
+    horizon (a bounded rule).
     """
 
     points: Optional[Sequence[float]] = None
@@ -148,9 +149,9 @@ class ImpulseSchedule:
             if p >= horizon:
                 break
             out.append(p)
-            if k > _ENUM_CAP:
-                raise RuntimeError("schedule enumeration exceeded the safety cap; "
-                                   "does the rule diverge to +inf?")
+            if k == _ENUM_CAP:
+                raise ValueError(f"schedule rule is still below the horizon {horizon!r} "
+                                 f"at rule({k}) = {p!r}; does it diverge to +inf?")
         return np.asarray(out, dtype=float)
 
     def points_between(self, lo: float, hi: float) -> np.ndarray:

@@ -20,19 +20,19 @@ slot is literally left slot + jump), never through quadrature.  Impulse
 times at or below the working-domain start t0 have no representable left
 side and are excluded from all sums.
 
-Everything that depends only on the problem, the quadrature config and the
-two meshes lives in an :class:`OperatorPlan`: the panel boundaries, Gauss
-points and weights, per mesh and panel the two slots whose Hermite data
-the panel interpolates, the cubic Hermite weights at every Gauss point,
-and the slot bookkeeping of the assembly.  ``solve`` and the
-ball-invariance audit build one plan and pass it to every :func:`apply_T`
-call; without a plan, ``apply_T`` builds one for the call.  Per call, one
-pass per mesh (four per-panel gathers and two weighted sums) gives u, v,
-u', v' at the Gauss points for both f and h.  The cubic Hermite kernel
-itself lives in :mod:`fnspace` (``_hermite_weights`` and
-``_hermite_combine``): the plan stores the weights, point evaluation
-recomputes them, and both combine them in one function, so the two paths
-agree bit for bit by construction.
+Everything that depends only on the problem and the quadrature config
+lives in an :class:`OperatorPlan`: the meshes of ``problem_meshes``, the
+panel boundaries, Gauss points and weights, per mesh and panel the two
+slots whose Hermite data the panel interpolates, the cubic Hermite
+weights at every Gauss point, and the slot bookkeeping of the assembly.
+``solve`` and the ball-invariance audit build one plan and pass it to
+every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
+call.  Per call, one pass per mesh (four per-panel gathers and two
+weighted sums) gives u, v, u', v' at the Gauss points for both f and h.
+The cubic Hermite kernel itself lives in :mod:`fnspace`
+(``_hermite_weights`` and ``_hermite_combine``): the plan stores the
+weights, point evaluation recomputes them, and both combine them in one
+function, so the two paths agree bit for bit by construction.
 
 The plan's per-point arrays are Gauss-major: C-contiguous
 (GAUSS_ORDER, npanels), one row per Gauss node, while the per-panel data
@@ -222,13 +222,6 @@ def _impulse_tail(q, schedule, tail0, tail1, c_abs, in_ball):
     return est, False
 
 
-def _check_mesh_matches(mesh, sched, p, q, which):
-    if not np.array_equal(mesh.impulse_times, sched.points_between(p.t0, q.horizon)):
-        raise ValueError(
-            f"{which}-mesh impulse nodes do not match the schedule inside "
-            f"(t0, horizon); rebuild the iterate with problem_meshes()")
-
-
 @dataclass(frozen=True, eq=False)
 class _MeshPlan:
     """What one component's mesh contributes to the operator, per problem.
@@ -298,11 +291,11 @@ class _MeshPlan:
 
 @dataclass(frozen=True, eq=False)
 class OperatorPlan:
-    """Everything :func:`apply_T` needs that depends only on the problem,
-    the quadrature config and the two meshes, built once and reused for
-    every iterate on those meshes.
+    """Everything :func:`apply_T` needs that depends only on the problem
+    and the quadrature config, built once and reused for every iterate.
 
-    Holds the panel boundaries (the union of both grids, refined so every
+    Holds the two meshes of ``problem_meshes`` (as ``u.mesh``, ``v.mesh``),
+    the panel boundaries (the union of both grids, refined so every
     piece between impulse times has ``PANELS_PER_PIECE`` panels), the
     Gauss points and weights, and per component a :class:`_MeshPlan` with
     the Hermite gathers and weights at the Gauss points and the per-slot
@@ -320,14 +313,10 @@ class OperatorPlan:
     v: _MeshPlan
 
     @staticmethod
-    def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig, u_mesh: Mesh,
-              v_mesh: Mesh) -> "OperatorPlan":
-        """Plan for iterates on (u_mesh, v_mesh); the meshes must carry the
-        schedules' nodes inside (t0, horizon), as problem_meshes() builds."""
-        _check_mesh_matches(u_mesh, p.u_schedule, p, q, "u")
-        _check_mesh_matches(v_mesh, p.v_schedule, p, q, "v")
-        if u_mesh.horizon != q.horizon:
-            raise ValueError("iterate horizon does not match the quadrature config")
+    def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig) -> "OperatorPlan":
+        """Plan for (p, q) on the meshes of ``problem_meshes(p, q)``, built
+        here, so each schedule is enumerated once per plan."""
+        u_mesh, v_mesh = problem_meshes(p, q)
         hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
         boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
         spts, wts = _gauss_panels(boundaries, gauss_major=True)
@@ -425,13 +414,13 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     """Both components on shared quadrature panels, with one truncation
     report for both: the larger tails, and bounds only if all four are.
 
-    ``plan`` is an :class:`OperatorPlan` built for (p, q) and s's meshes;
-    without one, a plan is built from s's meshes for this call alone.
+    ``plan`` is ``OperatorPlan.build(p, q)``, else built for this call
+    alone.  Either way s must live on ``problem_meshes(p, q)``: an iterate
+    on another mesh spacing or impulse layout raises ValueError.
     """
     if plan is None:
-        plan = OperatorPlan.build(p, q, s.u.mesh, s.v.mesh)
-    else:
-        plan.check(p, q, s)
+        plan = OperatorPlan.build(p, q)
+    plan.check(p, q, s)
     boundaries, spts, wts = plan.boundaries, plan.spts, plan.wts
     U, dU = plan.u.interpolate(s.u)
     V, dV = plan.v.interpolate(s.v)

@@ -118,7 +118,11 @@ class ResidualReport:
 
 def initial_pair(p: ImpulsiveCoupledBVP, qc: QuadratureConfig, kind="affine_boundary"):
     """Build the starting iterate on the problem meshes."""
-    mu, mv = problem_meshes(p, qc)
+    return _start_pair(p, *problem_meshes(p, qc), kind)
+
+
+def _start_pair(p: ImpulsiveCoupledBVP, mu, mv, kind):
+    """``initial_pair`` on the given u and v meshes."""
     if isinstance(kind, SolutionPair):
         if not (kind.u.mesh.same_layout(mu) and kind.v.mesh.same_layout(mv)):
             raise ValueError("user initial guess lives on incompatible meshes")
@@ -168,8 +172,8 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     raised; the lowest-residual iterate is returned.  Evaluation failures
     inside the operator propagate with the iteration index attached.
     """
-    s = initial_pair(p, qc, sc.initial_guess)
-    plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+    plan = OperatorPlan.build(p, qc)
+    s = _start_pair(p, plan.u.mesh, plan.v.mesh, sc.initial_guess)
     history = []
     best = None
     best_res = math.inf

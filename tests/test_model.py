@@ -135,6 +135,31 @@ def test_non_increasing_rule_fails_fast_with_its_index():
     assert len(calls) <= 4  # one enumeration per schedule in validate_problem
 
 
+def counted_bounded_rule():
+    """(schedule with rule k -> 2 - 1/k, list of the k it was called with)."""
+    calls = []
+
+    def bounded(k):
+        calls.append(k)
+        return 2.0 - 1.0 / k
+
+    return ImpulseSchedule(rule=bounded), calls
+
+
+def test_bounded_rule_fails_fast_with_its_last_index_and_value():
+    s, calls = counted_bounded_rule()
+    with pytest.raises(ValueError, match=r"rule\(100000\) = 1\.99999"):
+        s.points_below(40.0)
+    assert len(calls) <= 100_000
+    calls.clear()
+    import dataclasses
+    report = validate_problem(dataclasses.replace(empty_problem(), u_schedule=s), 40.0)
+    entry = report.entries("u_schedule")[0]
+    assert not report.passed
+    assert "rule(100000) = 1.99999" in entry["details"]["error"]
+    assert len(calls) <= 100_000  # one enumeration in validate_problem
+
+
 def test_validate_is_deterministic_for_fixed_seed():
     p = build_pendulum_problem(PendulumParams())
     r1 = validate_problem(p, 15.0, seed=5)

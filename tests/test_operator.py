@@ -432,7 +432,7 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
     for p, spacing, radius in ((crit04, 0.02, 1.5), (pend, 0.01, 0.5), (dense, 0.01, 0.5)):
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
         s = sample_ball_pair(p, qc, radius, np.random.default_rng(7))
-        plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+        plan = OperatorPlan.build(p, qc)
         flat = plan.spts.ravel()
         for mp, x in ((plan.u, s.u), (plan.v, s.v)):
             val, der = mp.interpolate(x)
@@ -472,9 +472,37 @@ def test_foreign_meshes_rejected_with_and_without_plan():
                            qc, "zero")
     with pytest.raises(ValueError, match=r"rebuild the iterate with problem_meshes\(\)"):
         apply_T(p, foreign, qc)
-    plan = OperatorPlan.build(p, qc, *problem_meshes(p, qc))
+    plan = OperatorPlan.build(p, qc)
     with pytest.raises(ValueError, match=r"rebuild the iterate with problem_meshes\(\)"):
         apply_T(p, foreign, qc, plan)
+    # without a plan, apply_T works on problem_meshes(p, q) only
+    coarse = initial_pair(p, QuadratureConfig(horizon=10.0, mesh_spacing=0.2), "zero")
+    with pytest.raises(ValueError, match=r"rebuild the iterate with problem_meshes\(\)"):
+        apply_T(p, coarse, qc)
+
+
+def test_schedules_are_enumerated_once_per_solve_and_per_ball_audit(monkeypatch):
+    from impulsebvp.audit import check_ball_invariance
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    from impulsebvp.solver import SolverConfig, solve
+    calls = []
+    real = ImpulseSchedule.points_below
+
+    def counting(self, horizon):
+        calls.append(self)
+        return real(self, horizon)
+
+    monkeypatch.setattr(ImpulseSchedule, "points_below", counting)
+    p = dataclasses.replace(build_pendulum_problem(PendulumParams()),
+                            v_schedule=ImpulseSchedule(rule=lambda k: 1.5 * k))
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.05)
+    solve(p, SolverConfig(max_iter=4), qc)
+    assert calls == [p.u_schedule, p.v_schedule]
+    calls.clear()
+    tested, _ = check_ball_invariance(p, p.bounds, 1.0, qc, samples=4, seed=0,
+                                      sample_radius=0.5)
+    assert tested == 4
+    assert calls == [p.u_schedule, p.v_schedule]
 
 
 def test_build_mesh_runs_twice_per_solve_and_per_ball_audit(monkeypatch):
@@ -528,7 +556,7 @@ def test_plan_shares_one_mesh_plan_between_identical_meshes():
         qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
         s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(5),
                              u_floor=p.bounds.u_floor if p.bounds else None)
-        plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+        plan = OperatorPlan.build(p, qc)
         assert (plan.v is plan.u) == shared
         image, _ = apply_T(p, s, qc, plan)
         # outputs live on the iterate's own meshes
@@ -545,7 +573,7 @@ def test_plan_arrays_are_gauss_major():
     from impulsebvp.operator import GAUSS_ORDER, OperatorPlan, _gauss_panels
     p = _criterion04_problem()
     qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.02)
-    plan = OperatorPlan.build(p, qc, *problem_meshes(p, qc))
+    plan = OperatorPlan.build(p, qc)
     npanels = plan.boundaries.size - 1
     spts, wts = _gauss_panels(plan.boundaries)  # panel-major
     assert np.array_equal(plan.spts, spts.T) and np.array_equal(plan.wts, wts.T)
@@ -577,7 +605,7 @@ def test_panel_sums_are_numpy_row_sums():
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
         s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(7),
                              u_floor=p.bounds.u_floor if p.bounds else None)
-        plan = OperatorPlan.build(p, qc, s.u.mesh, s.v.mesh)
+        plan = OperatorPlan.build(p, qc)
         U, dU = plan.u.interpolate(s.u)
         V, dV = plan.v.interpolate(s.v)
         flat = plan.spts.ravel()
@@ -604,7 +632,7 @@ def test_on_node_points_are_the_searchsorted_hits():
              (_k2000_problem(), 0.01, (0, 0)))
     for p, spacing, hits in cases:
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
-        plan = OperatorPlan.build(p, qc, *problem_meshes(p, qc))
+        plan = OperatorPlan.build(p, qc)
         flat = plan.spts.ravel()
         for mp, n in zip((plan.u, plan.v), hits):
             grid = mp.mesh.grid

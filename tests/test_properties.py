@@ -7,6 +7,7 @@ dependency stays numpy only.  The settings are derandomized and keep no
 example database, so every run draws the same examples and writes no files.
 """
 
+import atexit
 import tempfile
 
 import numpy as np
@@ -29,7 +30,9 @@ from test_fnspace import _eval_reference  # noqa: E402
 # hypothesis caches the constants it reads from local modules in its home
 # directory (./.hypothesis) while pytest collects, whatever the database
 # setting; a temporary home, removed at exit, keeps the checkout clean
+# (explicitly, so the interpreter does not warn that it cleans it up)
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+atexit.register(_HOME.cleanup)
 configuration.set_hypothesis_home_dir(_HOME.name)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -223,7 +226,7 @@ def test_zero_rhs_operator_is_the_affine_part_plus_impulse_sums(case):
 @given(problems())
 def test_operator_is_bitwise_repeatable_with_and_without_a_plan(case):
     p, q, s = case
-    plan = OperatorPlan.build(p, q, s.u.mesh, s.v.mesh)
+    plan = OperatorPlan.build(p, q)
     first, r1 = apply_T(p, s, q, plan)
     again, r2 = apply_T(p, s, q, plan)
     planless, r3 = apply_T(p, s, q)

@@ -230,6 +230,15 @@ def test_user_supplied_initial_guess():
         solve(p, SolverConfig(initial_guess=other), qc)
 
 
+def test_bounded_rule_fails_solve_fast():
+    from test_model import counted_bounded_rule
+    sched, calls = counted_bounded_rule()
+    p = simple_problem(u_schedule=sched)
+    with pytest.raises(ValueError, match=r"rule\(100000\) = 1\.99999"):
+        solve(p, SolverConfig(), QuadratureConfig(horizon=40.0, mesh_spacing=0.01))
+    assert len(calls) <= 100_000  # one enumeration in solve
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
