@@ -62,7 +62,9 @@ class RhsFunction:
     over transparently.  The points arrive in no particular time order
     (the operator passes its quadrature points Gauss-major), so ``fn``
     must be pointwise: its value at a point depends only on that point's
-    arguments.  ``name``/``params`` identify registry entries for
+    arguments.  It may be called more than once per operator application,
+    on disjoint sets of points (one call per block of quadrature panels).
+    ``name``/``params`` identify registry entries for
     problem files and are purely descriptive here.
     """
 

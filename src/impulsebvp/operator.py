@@ -27,9 +27,7 @@ slots whose Hermite data the panel interpolates, the cubic Hermite
 weights at every Gauss point, and the slot bookkeeping of the assembly.
 ``solve`` and the ball-invariance audit build one plan and pass it to
 every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
-call.  Per call, one pass per mesh (four per-panel gathers and two
-weighted sums) gives u, v, u', v' at the Gauss points for both f and h.
-The cubic Hermite kernel itself lives in :mod:`fnspace`
+call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
 (``_hermite_weights`` and ``_hermite_combine``): the plan stores the
 weights, point evaluation recomputes them, and both combine them in one
 function, so the two paths agree bit for bit by construction.
@@ -43,6 +41,23 @@ the rows pairwise, ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), the order numpy's
 ``sum`` uses on a contiguous row of 8, so they equal a panel-major
 ``sum(axis=1)`` bit for bit.  A non-finite right-hand side value is
 still reported at its first point in time order.
+
+Per call, ``apply_T`` walks the panels in blocks of at most
+``BLOCK_PANELS`` (as few blocks as that allows, of equal size give or
+take one panel), in time order.  Per block, one pass per mesh (four
+per-panel gathers and two weighted sums) gives u, v, u', v' at the
+block's Gauss points for both f and h; f is called on them and its
+values are summed per panel and dropped, then h likewise, so one
+right-hand-side value array is alive at a time.  The per-panel sums go
+into full-length rows, and the cumulative sums, the assembly and the
+tails run once on those rows.  Every step is elementwise per point or
+per panel, so the outputs do not depend on the block size.  The size
+keeps every per-point temporary at 256 KiB or less.  A whole-plan pass
+over the 93 296 points of a 400 + 160 impulse problem pushes several MB
+of temporaries through the C heap per call, which hands them back to the
+system and faults them in again (about 800 page faults per call); blocks
+of 4 096 panels avoid that, while much smaller blocks (256 panels) cost
+more in per-block overhead than they save.
 
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
@@ -62,6 +77,7 @@ from .model import ImpulsiveCoupledBVP
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
 PANELS_PER_PIECE = 16  # least panels between consecutive impulse times
+BLOCK_PANELS = 4096    # most panels per block of apply_T's Gauss-point pass
 
 __all__ = [
     "QuadratureConfig",
@@ -277,15 +293,23 @@ class _MeshPlan:
             lo=mesh.left_slot[knot], hi=mesh.right_slot[knot],
             cnt=np.searchsorted(mesh.impulse_times, mesh.nodes, side="left"))
 
-    def interpolate(self, x: PiecewiseC1Function):
-        """x and x' at the plan's Gauss points, in ``spts.ravel()`` order,
-        bit for bit as ``x(flat)`` and ``x.deriv(flat)`` compute them."""
-        val, der = _hermite_combine(self.weights, self.h,
-                                    x.values[self.s_lo], x.values[self.s_hi],
-                                    x.derivs[self.s_lo], x.derivs[self.s_hi])
+    def interpolate(self, x: PiecewiseC1Function, a=0, b=None):
+        """x and x' at the Gauss points of panels a..b-1 (default: all), in
+        ``spts[:, a:b].ravel()`` order, bit for bit as ``x(flat)`` and
+        ``x.deriv(flat)`` compute them."""
+        npanels = self.h.size
+        b = npanels if b is None else b
+        cols = slice(a, b)
+        s_lo, s_hi = self.s_lo[cols], self.s_hi[cols]
+        val, der = _hermite_combine((w[:, cols] for w in self.weights), self.h[cols],
+                                    x.values[s_lo], x.values[s_hi],
+                                    x.derivs[s_lo], x.derivs[s_hi])
         val, der = val.ravel(), der.ravel()
-        val[self.on_node] = x.values[self.node_slot]
-        der[self.on_node] = x.derivs[self.node_slot]
+        row, col = np.divmod(self.on_node, npanels)
+        inside = (col >= a) & (col < b)
+        at = row[inside] * (b - a) + (col[inside] - a)
+        val[at] = x.values[self.node_slot[inside]]
+        der[at] = x.derivs[self.node_slot[inside]]
         return val, der
 
 
@@ -335,17 +359,27 @@ class OperatorPlan:
                              "rebuild the iterate with problem_meshes()")
 
 
-def _rhs_values(rhs, spts, U, V, dU, dV):
-    flat = spts.ravel()
-    vals = rhs(flat, U, V, dU, dV)
+def _blocks(npanels):
+    """(start, stop) panel ranges of ``apply_T``'s blocks, in time order:
+    as few as hold at most ``BLOCK_PANELS`` panels each, of equal size
+    give or take one, so no tiny last block is left."""
+    n = -(-npanels // BLOCK_PANELS)
+    edges = [i * npanels // n for i in range(n + 1)]
+    return zip(edges[:-1], edges[1:])
+
+
+def _rhs_values(rhs, shape, args):
+    """rhs at a block's Gauss points: ``args`` is (t, u, v, u', v') flat in
+    Gauss-major order, the result has the block's ``shape``."""
+    vals = rhs(*args)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         # report the first bad point in time order: panel-major, not flat order
         i = np.flatnonzero(bad)
-        npanels = spts.shape[1]
+        npanels = shape[1]
         i = int(i[np.argmin(i % npanels * GAUSS_ORDER + i // npanels)])
-        raise EvaluationError(rhs.name, flat[i], (U[i], V[i], dU[i], dV[i]))
-    return vals.reshape(spts.shape)
+        raise EvaluationError(rhs.name, args[0][i], tuple(a[i] for a in args[1:]))
+    return vals.reshape(shape)
 
 
 def _panel_sums(a):
@@ -360,11 +394,13 @@ def _panel_sums(a):
 
 
 def _moments(spts, wts, rvals):
-    m0 = _panel_sums(wts * rvals)
-    m1 = _panel_sums(wts * spts * rvals)
-    C0 = np.concatenate(([0.0], np.cumsum(m0)))
-    C1 = np.concatenate(([0.0], np.cumsum(m1)))
-    return m0, C0, C1
+    """Per-panel sums of w r and w s r over a Gauss-major block."""
+    return _panel_sums(wts * rvals), _panel_sums(wts * spts * rvals)
+
+
+def _prefix_sums(x):
+    """0 followed by the running sums of x."""
+    return np.concatenate(([0.0], np.cumsum(x)))
 
 
 def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
@@ -384,9 +420,9 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
     else:
         c0 = np.zeros(0)
         c1 = np.zeros(0)
-    prefix0 = np.concatenate(([0.0], np.cumsum(c0)))
-    prefix1 = np.concatenate(([0.0], np.cumsum(c1)))
-    prefix1p = np.concatenate(([0.0], np.cumsum(c1 * pts)))
+    prefix0 = _prefix_sums(c0)
+    prefix1 = _prefix_sums(c1)
+    prefix1p = _prefix_sums(c1 * pts)
     S1 = prefix1[-1]
     total0 = C0[-1]
 
@@ -417,22 +453,40 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     ``plan`` is ``OperatorPlan.build(p, q)``, else built for this call
     alone.  Either way s must live on ``problem_meshes(p, q)``: an iterate
     on another mesh spacing or impulse layout raises ValueError.
+
+    The Gauss points are visited in blocks of panels (see the module
+    docstring), so f and h are each called once per block.  Errors keep
+    the precedence of a single pass: a non-finite f value first (at its
+    first point in time order), then the u impulse maps, then h, then the
+    v impulse maps.
     """
     if plan is None:
         plan = OperatorPlan.build(p, q)
     plan.check(p, q, s)
-    boundaries, spts, wts = plan.boundaries, plan.spts, plan.wts
-    U, dU = plan.u.interpolate(s.u)
-    V, dV = plan.v.interpolate(s.v)
+    boundaries = plan.boundaries
+    npanels = boundaries.size - 1
+    m0f, m1f, m0h, m1h = np.empty((4, npanels))
+    h_error = None
+    for a, b in _blocks(npanels):
+        spts, wts = plan.spts[:, a:b], plan.wts[:, a:b]
+        U, dU = plan.u.interpolate(s.u, a, b)
+        V, dV = plan.v.interpolate(s.v, a, b)
+        args = (spts.ravel(), U, V, dU, dV)
+        # the rhs values are dropped once summed: one such array alive at a time
+        m0f[a:b], m1f[a:b] = _moments(spts, wts, _rhs_values(p.f, spts.shape, args))
+        if h_error is None:
+            try:
+                m0h[a:b], m1h[a:b] = _moments(spts, wts,
+                                              _rhs_values(p.h, spts.shape, args))
+            except EvaluationError as exc:
+                h_error = exc  # raised once f has been checked on every block
 
-    # the rhs values are dropped once summed: one such array alive at a time
-    m0f, C0f, C1f = _moments(spts, wts, _rhs_values(p.f, spts, U, V, dU, dV))
     out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
-                                       s.u, plan.u, C0f, C1f)
-
-    m0h, C0h, C1h = _moments(spts, wts, _rhs_values(p.h, spts, U, V, dU, dV))
+                                       s.u, plan.u, _prefix_sums(m0f), _prefix_sums(m1f))
+    if h_error is not None:
+        raise h_error
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
-                                       s.v, plan.v, C0h, C1h)
+                                       s.v, plan.v, _prefix_sums(m0h), _prefix_sums(m1h))
 
     # the problem's Caratheodory tails at bound_rho are the only tail bounds
     b = p.bounds if q.bound_rho is not None else None

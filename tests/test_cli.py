@@ -364,13 +364,27 @@ def _run_main(argv):
 
 
 def test_rhs_failure_names_iteration_and_first_bad_point(tmp_path, monkeypatch, capsys):
+    _check_rhs_failure(tmp_path, monkeypatch, capsys)
+
+
+def test_rhs_failure_in_blocks_names_iteration_and_first_bad_point(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the 71 panels run in two blocks of 35 and 36 (280 and 288 points), so
+    # f is called twice per application and its 5th call opens iteration 3;
+    # 2.0037 lies in the first panel of the second block
+    import impulsebvp.operator as operator_module
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
+    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=5)
+
+
+def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     from impulsebvp.operator import (EvaluationError, QuadratureConfig, _gauss_panels,
                                      _refined_boundaries, problem_meshes)
     from impulsebvp.problemfile import RHS_REGISTRY, load_problem
     from impulsebvp.solver import SolverConfig, solve
     monkeypatch.setitem(RHS_REGISTRY, "flaky", _flaky_rhs)
     doc = {"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
-           "rhs": {"f": {"name": "flaky"}},
+           "rhs": {"f": {"name": "flaky", "params": {"fail_from": fail_from}}},
            "impulses": {"u": {"schedule": {"points": [1.3]},
                               "I0": {"name": "constant", "params": {"value": 0.1}}}}}
     prob = tmp_path / "flaky.json"

@@ -585,10 +585,12 @@ def test_plan_arrays_are_gauss_major():
 
 
 def test_panel_sums_are_numpy_row_sums():
-    # _moments adds the Gauss-major rows pairwise; numpy's sum over a
-    # contiguous panel-major row of 8 must give the same bits
+    # _moments adds the Gauss-major rows pairwise, block by block as
+    # apply_T calls it; numpy's sum over a contiguous panel-major row of 8
+    # must give the same bits
     from impulsebvp.audit import sample_ball_pair
-    from impulsebvp.operator import GAUSS_ORDER, OperatorPlan, _moments, _panel_sums
+    from impulsebvp.operator import (GAUSS_ORDER, OperatorPlan, _blocks, _moments,
+                                     _panel_sums, _prefix_sums)
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
     rng = np.random.default_rng(17)
     a = (rng.standard_normal((GAUSS_ORDER, 20_000))
@@ -612,7 +614,11 @@ def test_panel_sums_are_numpy_row_sums():
         for r in (p.f(flat, U, V, dU, dV), p.h(flat, U, V, dU, dV),
                   rng.standard_normal(flat.size)):
             r = r.reshape(plan.spts.shape)
-            m0, C0, C1 = _moments(plan.spts, plan.wts, r)
+            m0, m1 = np.empty((2, plan.spts.shape[1]))
+            for a, b in _blocks(m0.size):
+                m0[a:b], m1[a:b] = _moments(plan.spts[:, a:b], plan.wts[:, a:b],
+                                            r[:, a:b])
+            C0, C1 = _prefix_sums(m0), _prefix_sums(m1)
             want0 = (panel_major(plan.wts.T) * panel_major(r.T)).sum(axis=1)
             want1 = (panel_major(plan.wts.T) * panel_major(plan.spts.T)
                      * panel_major(r.T)).sum(axis=1)
@@ -641,3 +647,69 @@ def test_on_node_points_are_the_searchsorted_hits():
             assert np.array_equal(mp.on_node, want)
             assert np.array_equal(mp.node_slot, mp.mesh.left_slot[pos[want]])
             assert want.size == n
+
+
+def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
+    # the criterion-04 plan has 1 856 + 136 Gauss points on grid nodes,
+    # which small blocks split at every possible offset
+    import impulsebvp.operator as operator_module
+    from impulsebvp.audit import sample_ball_pair
+    from impulsebvp.operator import BLOCK_PANELS, OperatorPlan, _blocks
+    for p, spacing in ((_criterion04_problem(), 0.02), (_dense_impulse_problem(1), 0.01)):
+        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
+        s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(13))
+        plan = OperatorPlan.build(p, qc)
+        results = []
+        for size in (BLOCK_PANELS, 1, 3, 7):
+            monkeypatch.setattr(operator_module, "BLOCK_PANELS", size)
+            results.append(apply_T(p, s, qc, plan))
+        (ref, ref_report), *others = results
+        for out, report in others:
+            for a, b in ((ref.u, out.u), (ref.v, out.v)):
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.derivs, b.derivs)
+            assert report == ref_report
+    # the dense-impulse plan runs in three blocks at the default size
+    npanels = plan.boundaries.size - 1
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", BLOCK_PANELS)
+    sizes = [b - a for a, b in _blocks(npanels)]
+    assert len(sizes) == 3 and sum(sizes) == npanels
+    assert max(sizes) - min(sizes) <= 1
+
+
+def _nan_past(start, name):
+    return rhs(lambda t, x, y, z, w: np.where(t > start, np.nan, 0.1 * np.exp(-t) * x),
+               name)
+
+
+def _first_bad_time(plan, start):
+    """The first Gauss point past ``start`` in time order."""
+    from impulsebvp.operator import _gauss_panels
+    flat = _gauss_panels(plan.boundaries)[0].ravel()  # panel-major: time order
+    return flat[np.flatnonzero(flat > start)[0]]
+
+
+def test_rhs_errors_keep_their_precedence_across_blocks(monkeypatch):
+    import impulsebvp.operator as operator_module
+    from impulsebvp.operator import OperatorPlan, _blocks
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
+    # f fails only in a late block, h already in the first one
+    p = make_problem(f=_nan_past(9.0, "f"), h=_nan_past(1.05, "h"),
+                     boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.5, 4.0))
+    plan = OperatorPlan.build(p, qc)
+    blocks = list(_blocks(plan.boundaries.size - 1))
+    assert len(blocks) > 2
+    assert plan.boundaries[blocks[0][1]] > 1.05 and plan.boundaries[blocks[-1][0]] < 9.0
+    s = initial_pair(p, qc)
+    with pytest.raises(EvaluationError) as exc:
+        apply_T(p, s, qc, plan)
+    assert exc.value.location["rhs"] == "f"
+    assert exc.value.location["s"] == _first_bad_time(plan, 9.0)
+    # h alone fails at its first bad point in time order
+    p = dataclasses.replace(p, f=_nan_past(np.inf, "f"))
+    plan = OperatorPlan.build(p, qc)
+    with pytest.raises(EvaluationError) as exc:
+        apply_T(p, s, qc, plan)
+    assert exc.value.location["rhs"] == "h"
+    assert exc.value.location["s"] == _first_bad_time(plan, 1.05)

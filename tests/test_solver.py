@@ -217,6 +217,39 @@ def test_verify_residuals_exact_injected_solution():
     assert rr.boundary_residuals[2] == pytest.approx(abs(-np.exp(-30.0) - 0.2 + 0.2), abs=1e-12)
 
 
+def test_verifier_integrates_the_rhs_only_when_t0_is_positive(monkeypatch):
+    # the integrals enter the left anchors as t0 * (...), so at t0 = 0 the
+    # verifier skips them
+    import impulsebvp.solver as solver_module
+    calls = []
+    real = solver_module._plain_rhs_integrals
+
+    def counting(p, s):
+        calls.append(p)
+        return real(p, s)
+
+    monkeypatch.setattr(solver_module, "_plain_rhs_integrals", counting)
+    f = RhsFunction(RHS_REGISTRY["decaying_sin_state"](), name="decaying_sin_state")
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.05)
+    for t0, n in ((0.0, 0), (0.5, 1)):
+        p = simple_problem(f=f, boundary=(1.0, 0.0, 0.5, 0.0), t0=t0)
+        pair, diag = solve(p, SolverConfig(), qc)
+        assert diag.converged
+        calls.clear()
+        rr = verify_residuals(p, pair)
+        assert len(calls) == n
+        assert rr.boundary_residuals[0] < 1e-8
+    # a rhs that is non-finite off the mesh nodes, so only at the
+    # integrals' Gauss points, leaves the t0 = 0 anchors finite
+    p = simple_problem(boundary=(1.0, 0.0, 0.5, 0.0))
+    pair, _ = solve(p, SolverConfig(), qc)
+    nodes = pair.u.mesh.nodes
+    off_nodes = RhsFunction(lambda t, x, y, z, w: np.where(np.isin(t, nodes), 0.0, np.nan))
+    rr = verify_residuals(dataclasses.replace(p, f=off_nodes), pair)
+    assert rr.boundary_residuals == (0.0, 0.0, 0.0, 0.0)
+    assert rr.ode_residual_sup == (0.0, 0.0)
+
+
 def test_user_supplied_initial_guess():
     p = manufactured_problem()
     qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
