@@ -25,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fnspace import PiecewiseC1Function, SolutionPair, norm_X
+from .fnspace import (PiecewiseC1Function, SolutionPair, _require_positive, norm_deriv_sup,
+                      norm_weighted_sup, norm_X)
 from .kernel import boundary_weight_sup, kernel_weight_sup
 from .model import ImpulsiveCoupledBVP
 from .operator import (OperatorPlan, QuadratureConfig, _gauss_panels, apply_T,
@@ -142,8 +143,7 @@ def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     (empty = pass on the sample set); non-finite dominator values and NaN
     right-hand-side values count as violations.
     """
-    if rho <= 0 or samples <= 0:
-        raise ValueError("rho and samples must be positive")
+    _require_positive(rho=rho, samples=samples)
     rng = np.random.default_rng(seed)
     t = rng.uniform(p.t0, horizon, size=samples)
     amp = rho * (1.0 + t)
@@ -171,6 +171,22 @@ def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     return out
 
 
+def _sequences(b: CaratheodoryBounds):
+    """The four impulse-bound sequences with their closed-form tails (or
+    None), by report key."""
+    return {"phi": (b.phi_seq, b.seq_tail_phi), "psi": (b.psi_seq, b.seq_tail_psi),
+            "phij": (b.phij_seq, b.seq_tail_phij), "theta": (b.thetaj_seq, b.seq_tail_theta)}
+
+
+def _with_tails(rows, rho):
+    """From rows key -> (truncated total, tail (rho, cut) -> bound or None,
+    cut): each total plus its tail, and whether a tail was missing, which
+    makes those totals lower estimates."""
+    return ({key: total if tail is None else total + float(tail(rho, cut))
+             for key, (total, tail, cut) in rows.items()},
+            any(tail is None for _, tail, _ in rows.values()))
+
+
 def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
                          K, seed=0, samples_per_point=8):
     """Check |I0k| <= phi_k, |I1k| <= psi_k (and the J analogues) for k <= K,
@@ -187,18 +203,15 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
     k = np.arange(1, K + 1, dtype=float)
     violations = []
 
-    families = (
-        ("I0", p.u_schedule, p.I0, b.phi_seq, "phi"),
-        ("I1", p.u_schedule, p.I1, b.psi_seq, "psi"),
-        ("J0", p.v_schedule, p.J0, b.phij_seq, "phij"),
-        ("J1", p.v_schedule, p.J1, b.thetaj_seq, "theta"),
-    )
+    families = (("I0", p.u_schedule, p.I0, "phi"), ("I1", p.u_schedule, p.I1, "psi"),
+                ("J0", p.v_schedule, p.J0, "phij"), ("J1", p.v_schedule, p.J1, "theta"))
+    sequences = _sequences(b)
     partial_sums = {}
     tails = {}
-    for name, sched, mp, seq, key in families:
+    for name, sched, mp, key in families:
+        seq, tail_fn = sequences[key]
         caps = np.asarray(seq(rho, k), dtype=float)
         partial_sums[key] = float(np.sum(caps))
-        tail_fn = getattr(b, f"seq_tail_{key}")
         tails[key] = float(tail_fn(rho, K)) if tail_fn is not None else None
 
         # bound check by sampling the admissible (x, y) box at each point
@@ -238,50 +251,27 @@ def compute_rho2_entries(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho1,
     K1 = boundary_weight_sup(p.boundary.A1, p.boundary.B1)
     K2 = boundary_weight_sup(p.boundary.A2, p.boundary.B2)
     k = np.arange(1, K + 1, dtype=float)
-
-    lower_estimate = False
-
-    def seq_sum(seq, tail):
-        nonlocal lower_estimate
-        total = float(np.sum(np.asarray(seq(rho, k), dtype=float)))
-        if tail is not None:
-            total += float(tail(rho, K))
-        else:
-            lower_estimate = True
-        return total
-
-    s_phi = seq_sum(b.phi_seq, b.seq_tail_phi)
-    s_psi = seq_sum(b.psi_seq, b.seq_tail_psi)
-    s_phij = seq_sum(b.phij_seq, b.seq_tail_phij)
-    s_theta = seq_sum(b.thetaj_seq, b.seq_tail_theta)
+    rows = {key: (float(np.sum(np.asarray(seq(rho, k), dtype=float))), tail, K)
+            for key, (seq, tail) in _sequences(b).items()}
 
     n = max(64, int(math.ceil((q.horizon - p.t0) / q.mesh_spacing)))
     spts, wts = _gauss_panels(np.linspace(p.t0, q.horizon, n + 1))
-    flat, w = spts.ravel(), wts.ravel()
+    flat, w = spts.T.ravel(), wts.T.ravel()  # time order
     phi = np.asarray(b.Phi(rho, flat), dtype=float)
     psi = np.asarray(b.Psi(rho, flat), dtype=float)
     weight = kernel_weight_sup(flat)
-
-    def integral(vals, tail):
-        nonlocal lower_estimate
-        total = float((w * vals).sum())
-        if tail is not None:
-            total += float(tail(rho, q.horizon))
-        else:
-            lower_estimate = True
-        return total
-
-    int_qphi = integral(phi * weight, b.tail_integral_f)
-    int_qpsi = integral(psi * weight, b.tail_integral_h)
-    int_phi = integral(phi, b.tail_integral_f)
-    int_psi = integral(psi, b.tail_integral_h)
+    for key, vals, tail in (("qphi", phi * weight, b.tail_integral_f),
+                            ("qpsi", psi * weight, b.tail_integral_h),
+                            ("Phi", phi, b.tail_integral_f), ("Psi", psi, b.tail_integral_h)):
+        rows[key] = float((w * vals).sum()), tail, q.horizon
+    s, lower_estimate = _with_tails(rows, rho)
 
     entries = {
         "rho1": float(rho1),
-        "u_weighted": K1 + s_phi + 2.0 * s_psi + int_qphi,
-        "v_weighted": K2 + s_phij + 2.0 * s_theta + int_qpsi,
-        "u_deriv": abs(p.boundary.B1) + 2.0 * s_psi + int_phi,
-        "v_deriv": abs(p.boundary.B2) + 2.0 * s_theta + int_psi,
+        "u_weighted": K1 + s["phi"] + 2.0 * s["psi"] + s["qphi"],
+        "v_weighted": K2 + s["phij"] + 2.0 * s["theta"] + s["qpsi"],
+        "u_deriv": abs(p.boundary.B1) + 2.0 * s["psi"] + s["Phi"],
+        "v_deriv": abs(p.boundary.B2) + 2.0 * s["theta"] + s["Psi"],
     }
     return entries, lower_estimate
 
@@ -319,8 +309,8 @@ def _smooth_random(rng, t, n_modes=3, decay=8.0):
 
 
 def _rescale_to_ball(mesh, vals, ders, tail, target):
-    norm = max(float(np.max(np.abs(vals) / (1.0 + mesh.nodes))),
-               float(np.max(np.abs(ders))), abs(tail))
+    x = PiecewiseC1Function(mesh=mesh, values=vals, derivs=ders, tail_slope=tail)
+    norm = max(norm_weighted_sup(x), norm_deriv_sup(x))
     scale = 0.0 if norm == 0.0 else target / norm
     return PiecewiseC1Function(mesh=mesh, values=vals * scale,
                                derivs=ders * scale, tail_slope=tail * scale)
@@ -379,6 +369,8 @@ def check_ball_invariance(p: ImpulsiveCoupledBVP, b: Optional[CaratheodoryBounds
     raised: they indicate bounds too small or truncation too coarse rather
     than theorem failure.
     """
+    if samples < 1:
+        raise ValueError(f"ball-invariance samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     radius = rho2 if sample_radius is None else sample_radius
     floor = b.u_floor if b is not None else None
@@ -402,8 +394,12 @@ def run_audit(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho, rho1, K,
 
     With ``sample_at_rho`` (default) the ball check draws from the rho-ball,
     matching the coupling the bound chain supports; otherwise it draws from
-    the rho2-ball.
+    the rho2-ball.  ``rho`` must be finite and positive, ``rho1`` finite
+    and >= 0.
     """
+    _require_positive(rho=rho)
+    if not (math.isfinite(rho1) and rho1 >= 0):
+        raise ValueError(f"rho1 must be finite and >= 0, got {rho1!r}")
     dom = check_domination(p, b, rho, samples, seed, horizon=qc.horizon)
     imp, partial, tails = check_impulse_bounds(p, b, rho, K, seed=seed + 1)
     entries, lower = compute_rho2_entries(p, b, rho1, rho, K, qc)

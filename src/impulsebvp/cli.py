@@ -250,36 +250,40 @@ def cmd_check(args):
 
 
 def _study_levels(args):
+    """The quadrature config of each study level, all checked before any
+    level is solved."""
     if args.horizons and args.mesh_levels:
         raise ValueError("pick one study axis: --horizons or --mesh-levels")
     if args.horizons:
         hs = [float(x) for x in args.horizons.split(",")]
-        return [(h, args.mesh_spacing) for h in hs]
-    if args.mesh_levels:
-        ms = [float(x) for x in args.mesh_levels.split(",")]
-        return [(args.horizon, m) for m in ms]
-    raise ValueError("study needs --horizons or --mesh-levels")
+        if any(b <= a for a, b in zip(hs, hs[1:])):
+            raise ValueError(f"--horizons must increase, got {args.horizons}")
+        levels = [(h, args.mesh_spacing) for h in hs]
+    elif args.mesh_levels:
+        levels = [(args.horizon, float(m)) for m in args.mesh_levels.split(",")]
+    else:
+        raise ValueError("study needs --horizons or --mesh-levels")
+    return [QuadratureConfig(horizon=h, mesh_spacing=m) for h, m in levels]
 
 
 def cmd_study(args):
     out = _out_dir(args)
     try:
         levels = _study_levels(args)
+        sc = SolverConfig(max_iter=args.max_iter, tol=args.tol,
+                          damping=args.damping, anderson_depth=args.anderson)
         p0 = _load(args)
-        if not _valid(p0, max(h for h, _ in levels), args.seed):
+        if not _valid(p0, max(qc.horizon for qc in levels), args.seed):
             return 1
     except (RuntimeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    sc = SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                      damping=args.damping, anderson_depth=args.anderson)
     rows = []
     prev = None
-    for horizon, spacing in levels:
-        row = {"horizon": horizon, "mesh_spacing": spacing}
+    for qc in levels:
+        row = {"horizon": qc.horizon, "mesh_spacing": qc.mesh_spacing}
         try:
-            qc = QuadratureConfig(horizon=horizon, mesh_spacing=spacing)
             pair, diag = solve(p0, sc, qc)
             residuals = verify_residuals(p0, pair)
             row.update({

@@ -83,6 +83,13 @@ class Mesh:
         )
 
 
+def _require_positive(**values):
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     """Build a mesh on [t0, horizon] doubled at every interior impulse time.
 
@@ -95,8 +102,7 @@ def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     horizon = float(horizon)
     if not horizon > t0:
         raise ValueError("horizon must exceed t0")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    _require_positive(spacing=spacing)
     pts = np.atleast_1d(np.asarray(impulse_times, dtype=float))
     pts = np.sort(pts[(pts > t0) & (pts < horizon)])
     if pts.size != np.unique(pts).size:
@@ -357,18 +363,15 @@ def difference_norm(sa: SolutionPair, sb: SolutionPair) -> float:
     solution and sb must cover its domain.  The tail term compares sa's
     tail slope with sb's derivative at sa's horizon.
     """
-    out = 0.0
+    diffs = []
     for a, b in ((sa.u, sb.u), (sa.v, sb.v)):
         if b.mesh.horizon < a.mesh.horizon or b.mesh.t0 > a.mesh.t0:
             raise ValueError("second pair must cover the first pair's domain")
         bv, bd = _eval_on_slots(b, a.mesh)
-        dv = a.values - bv
-        dd = a.derivs - bd
-        n0 = float(np.max(np.abs(dv) / (1.0 + a.mesh.nodes)))
-        n1 = float(np.max(np.abs(dd)))
-        tail = abs(a.tail_slope - float(b.deriv(a.mesh.horizon)))
-        out = max(out, n0, n1, tail)
-    return out
+        diffs.append(PiecewiseC1Function(
+            mesh=a.mesh, values=a.values - bv, derivs=a.derivs - bd,
+            tail_slope=a.tail_slope - float(b.deriv(a.mesh.horizon))))
+    return norm_X(SolutionPair(*diffs))
 
 
 def constant_fn(mesh: Mesh, value=0.0, slope=0.0) -> PiecewiseC1Function:

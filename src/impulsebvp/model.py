@@ -251,8 +251,8 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     impulse maps are not sampled.  Each schedule is enumerated once.  The
     report is deterministic for a fixed seed.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     rng = np.random.default_rng(seed)
     checks = []
 

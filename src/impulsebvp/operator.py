@@ -32,15 +32,18 @@ call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
 weights, point evaluation recomputes them, and both combine them in one
 function, so the two paths agree bit for bit by construction.
 
-The plan's per-point arrays are Gauss-major: C-contiguous
-(GAUSS_ORDER, npanels), one row per Gauss node, while the per-panel data
-(slots, interval lengths) is 1-D.  So every elementwise step runs over
-rows of npanels points, and the right-hand sides see the points in
-``spts.ravel()`` order, which is not time order.  The per-panel sums add
-the rows pairwise, ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), the order numpy's
-``sum`` uses on a contiguous row of 8, so they equal a panel-major
-``sum(axis=1)`` bit for bit.  A non-finite right-hand side value is
-still reported at its first point in time order.
+Gauss points and weights have one layout, that of ``_gauss_panels``:
+Gauss-major, C-contiguous (GAUSS_ORDER, npanels), one row per Gauss node,
+while the plan's per-panel data (slots, interval lengths) is 1-D.  So
+every elementwise step runs over rows of npanels points, and the
+right-hand sides see the points in ``spts.ravel()`` order, which is not
+time order.  The per-panel sums add the rows pairwise,
+((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), the order numpy's ``sum`` uses on a
+contiguous row of 8, so they equal a panel-major ``sum(axis=1)`` bit for
+bit.  A non-finite right-hand side value is still reported at its first
+point in time order.  The integrators that sum over all points at once
+(``semiinfinite_integral``, the audit's rho2 integrals and the
+verifier's rhs integrals) read ``.T.ravel()``: the points in time order.
 
 Per call, ``apply_T`` walks the panels in blocks of at most
 ``BLOCK_PANELS`` (as few blocks as that allows, of equal size give or
@@ -72,7 +75,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
-                      _hermite_weights, build_mesh, norm_X)
+                      _hermite_weights, _require_positive, build_mesh, norm_X)
+from .kernel import green
 from .model import ImpulsiveCoupledBVP
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
@@ -130,10 +134,10 @@ class QuadratureConfig:
     bound_rho: Optional[float] = None
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.mesh_spacing <= 0:
-            raise ValueError("horizon and mesh_spacing must be positive")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        _require_positive(horizon=self.horizon, mesh_spacing=self.mesh_spacing,
+                          abs_tol=self.abs_tol)
+        if self.bound_rho is not None:
+            _require_positive(bound_rho=self.bound_rho)
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,14 @@ def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
     return mu, mv
 
 
-def _gauss_panels(breaks, gauss_major=False):
-    """Gauss-Legendre points/weights per panel: arrays (npanels, GAUSS_ORDER),
-    or with ``gauss_major`` C-contiguous (GAUSS_ORDER, npanels) arrays of
-    the same values."""
+def _gauss_panels(breaks):
+    """Gauss-Legendre points and weights on the panels between ``breaks``:
+    Gauss-major, C-contiguous (GAUSS_ORDER, npanels) arrays.  Their
+    ``.T.ravel()`` lists the points in time order, panel by panel."""
     xg, wg = leggauss(GAUSS_ORDER)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * np.diff(breaks)
-    if gauss_major:
-        return mid + half * xg[:, None], half * wg[:, None]
-    return mid[:, None] + half[:, None] * xg[None, :], half[:, None] * wg[None, :]
+    return mid + half * xg[:, None], half * wg[:, None]
 
 
 def _refined_boundaries(grid, hard):
@@ -343,7 +345,7 @@ class OperatorPlan:
         u_mesh, v_mesh = problem_meshes(p, q)
         hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
         boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
-        spts, wts = _gauss_panels(boundaries, gauss_major=True)
+        spts, wts = _gauss_panels(boundaries)
         u = _MeshPlan.build(u_mesh, boundaries, spts)
         v = u if v_mesh.same_layout(u_mesh) else _MeshPlan.build(v_mesh, boundaries, spts)
         return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
@@ -521,14 +523,13 @@ def semiinfinite_integral(g, t, q: QuadratureConfig, t0=0.0, breakpoints=()):
     # build_mesh keeps the breaks inside (t0, H), sorted, as impulse_times
     mesh = build_mesh(t0, H, np.union1d(breakpoints, [t]), q.mesh_spacing)
     spts, wts = _gauss_panels(_refined_boundaries(mesh.grid, mesh.impulse_times))
-    flat = spts.ravel()
+    flat = spts.T.ravel()  # time order
     gv = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape)
     bad = ~np.isfinite(gv)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise EvaluationError("integrand", flat[i], (0.0, 0.0, 0.0, 0.0))
-    kern = -np.minimum(float(t), flat)
-    return float((wts.ravel() * kern * gv).sum())
+    return float((wts.T.ravel() * green(t, flat) * gv).sum())
 
 
 def impulse_sums(schedule, m0, m1, x: PiecewiseC1Function, t, horizon):

@@ -15,12 +15,13 @@ candidate solution.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .fnspace import (SolutionPair, constant_fn, norm_X, pair_lincomb,
+from .fnspace import (SolutionPair, _require_positive, constant_fn, norm_X, pair_lincomb,
                       slot_sides)
 from .model import ImpulsiveCoupledBVP
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
@@ -50,8 +51,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _require_positive(tol=self.tol)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.anderson_depth < 0:
@@ -143,15 +143,9 @@ def _flatten(s: SolutionPair):
 def _unflatten(z, template: SolutionPair):
     u, v = template.u, template.v
     nu, nv = u.values.size, v.values.size
-    au, bu = z[:nu], z[nu:2 * nu]
-    tu = z[2 * nu]
-    off = 2 * nu + 1
-    av, bv = z[off:off + nv], z[off + nv:off + 2 * nv]
-    tv = z[off + 2 * nv]
-    return SolutionPair(
-        u=replace(u, values=au.copy(), derivs=bu.copy(), tail_slope=float(tu)),
-        v=replace(v, values=av.copy(), derivs=bv.copy(), tail_slope=float(tv)),
-    )
+    au, bu, tu, av, bv, tv = np.split(z, np.cumsum([nu, nu, 1, nv, nv]))
+    return SolutionPair(u=replace(u, values=au, derivs=bu, tail_slope=float(tu[0])),
+                        v=replace(v, values=av, derivs=bv, tail_slope=float(tv[0])))
 
 
 def _contraction_estimate(history):
@@ -165,19 +159,18 @@ def _contraction_estimate(history):
 def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     """Iterate s <- (1 - damping) s + damping T(s) until ||T(s) - s||_X <= tol.
 
-    Returns ``(pair, diagnostics)``.  On convergence the returned pair is
-    the iterate whose residual was measured, so re-evaluating the operator
-    on it reproduces a residual <= tol.  Non-convergence is reported, not
-    raised; the lowest-residual iterate is returned.  Evaluation failures
-    inside the operator propagate with the iteration index attached.
+    Returns ``(pair, diagnostics)``: the lowest-residual iterate, whose
+    residual was measured, so re-evaluating the operator on it reproduces
+    that residual.  On convergence that is the last iterate.
+    Non-convergence is reported, not raised.  Evaluation failures inside
+    the operator propagate with the iteration index attached.
     """
     plan = OperatorPlan.build(p, qc)
     s = _start_pair(p, plan.u.mesh, plan.v.mesh, sc.initial_guess)
     history = []
-    best = None
-    best_res = math.inf
-    best_report = None
-    zs, gs = [], []  # Anderson history of iterates / operator images
+    best, best_res, best_report = None, math.inf, None
+    # Anderson history of iterates / operator images, newest last
+    zs, gs = deque(maxlen=sc.anderson_depth + 1), deque(maxlen=sc.anderson_depth + 1)
 
     for it in range(1, sc.max_iter + 1):
         try:
@@ -190,19 +183,12 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
         if res < best_res:
             best, best_res, best_report = s, res, report
         if res <= sc.tol:
-            diag = SolveDiagnostics(iterations=it, residual_history=history,
-                                    converged=True, truncation=report,
-                                    contraction_estimate=_contraction_estimate(history))
-            return s, diag
+            break
 
-        m = 0  # Anderson mixing depth of this step
         if sc.anderson_depth > 0:
             zs.append(_flatten(s))
             gs.append(_flatten(Ts))
-            if len(zs) > sc.anderson_depth + 1:
-                zs.pop(0)
-                gs.pop(0)
-            m = len(zs) - 1
+        m = len(zs) - 1  # Anderson mixing depth of this step
         if m > 0:
             z, g = zs[-1], gs[-1]
             F = np.stack([(gs[-i] - zs[-i]) - (gs[-i - 1] - zs[-i - 1])
@@ -218,21 +204,18 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
         else:
             s = pair_lincomb(1.0 - sc.damping, s, sc.damping, Ts)
 
-    diag = SolveDiagnostics(iterations=sc.max_iter, residual_history=history,
-                            converged=False, truncation=best_report,
-                            contraction_estimate=_contraction_estimate(history))
-    return best, diag
+    return best, SolveDiagnostics(iterations=len(history), residual_history=history,
+                                  converged=best_res <= sc.tol, truncation=best_report,
+                                  contraction_estimate=_contraction_estimate(history))
 
 
 def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair):
     """(integral_{t0}^{H} f ds, integral_{t0}^{H} h ds) with the arguments
     (s, u, v, u', v') on the union of both grids, from one evaluation of
     u, v, u', v' at the Gauss points."""
-    boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
-    spts, wts = _gauss_panels(boundaries)
-    flat = spts.ravel()
-    w = wts.ravel()
-    args = _rhs_args(s, flat)
+    spts, wts = _gauss_panels(np.union1d(s.u.mesh.grid, s.v.mesh.grid))
+    w = wts.T.ravel()
+    args = _rhs_args(s, spts.T.ravel())  # time order
     return float((w * p.f(*args)).sum()), float((w * p.h(*args)).sum())
 
 

@@ -247,11 +247,11 @@ def _weighted_integral_four_pass(fn, rho, t0, horizon, q, weight=None):
     n = max(64, int(math.ceil((horizon - t0) / q.mesh_spacing)))
     boundaries = np.linspace(t0, horizon, n + 1)
     spts, wts = _gauss_panels(boundaries)
-    flat = spts.ravel()
+    flat = spts.T.ravel()
     vals = np.asarray(fn(rho, flat), dtype=float)
     if weight is not None:
         vals = vals * weight(flat)
-    return float((wts.ravel() * vals).sum())
+    return float((wts.T.ravel() * vals).sum())
 
 
 def _rho2_entries_four_pass(p, b, rho1, rho, K, q):

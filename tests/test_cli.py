@@ -134,6 +134,43 @@ def test_solve_missing_boundary_exit_one(tmp_path):
     assert "boundary" in res.stderr
 
 
+# (command, problem, flags, the field the error names); the common flags
+# keep the runs short, and a flag given twice takes its last value
+_CHEAP = {"solve": ["--mesh-spacing", "0.05"], "study": ["--mesh-spacing", "0.05"],
+          "check": ["--samples", "1000", "--ball-samples", "5", "--K", "200",
+                    "--mesh-spacing", "0.1"]}
+BAD_INPUTS = [
+    ("solve", MANUFACTURED_DOC, ["--tol", "nan"], "tol"),
+    ("solve", MANUFACTURED_DOC, ["--tol", "inf"], "tol"),
+    ("solve", MANUFACTURED_DOC, ["--mesh-spacing", "nan"], "mesh_spacing"),
+    ("solve", MANUFACTURED_DOC, ["--mesh-spacing", "inf"], "mesh_spacing"),
+    ("solve", MANUFACTURED_DOC, ["--horizon", "inf"], "horizon"),
+    ("solve", MANUFACTURED_DOC, ["--horizon", "nan"], "horizon"),
+    ("check", PENDULUM_DOC, ["--ball-samples", "0"], "samples"),
+    ("check", PENDULUM_DOC, ["--rho", "nan"], "rho"),
+    ("check", PENDULUM_DOC, ["--rho", "inf"], "rho"),
+    ("check", PENDULUM_DOC, ["--rho1", "nan"], "rho1"),
+    ("check", PENDULUM_DOC, ["--rho1", "-1"], "rho1"),
+    ("study", MANUFACTURED_DOC, ["--horizons", "20,10"], "horizons"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags,field", BAD_INPUTS,
+                         ids=[" ".join([c, *f]) for c, _, f, _ in BAD_INPUTS])
+def test_bad_numeric_input_fails_fast_naming_the_field(command, doc, flags, field,
+                                                       tmp_path):
+    prob = tmp_path / "problem.json"
+    prob.write_text(doc)
+    out = tmp_path / "o"
+    res = run_cli(command, str(prob), "--out-dir", str(out), *_CHEAP[command], *flags)
+    assert res.returncode == 1, res.stdout + res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+    assert errors and f"{field} must" in errors[0], res.stderr
+    assert "Traceback" not in res.stderr
+    for name in ("solution.csv", "hypothesis_report.json", "study.csv"):
+        assert not (out / name).exists()
+
+
 def test_check_pendulum_exit_zero(tmp_path):
     prob = tmp_path / "pendulum.json"
     prob.write_text(PENDULUM_DOC)
@@ -401,7 +438,7 @@ def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     mu, mv = problem_meshes(p, qc)
     boundaries = _refined_boundaries(np.union1d(mu.grid, mv.grid),
                                      np.union1d(mu.impulse_times, mv.impulse_times))
-    flat = _gauss_panels(boundaries)[0].ravel()
+    flat = _gauss_panels(boundaries)[0].T.ravel()
     want = flat[np.flatnonzero(flat > 2.0037)[0]]
     # the panel holding 2.0037 has good points before the first bad one, so
     # the first bad point of a Gauss-major scan lies in the next panel

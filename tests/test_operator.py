@@ -332,6 +332,16 @@ def test_fundamental_theorem_consistency():
         assert np.max(np.abs(mid_slope - mid_deriv)) < 5e-5
 
 
+@pytest.mark.parametrize("field", ["horizon", "mesh_spacing", "abs_tol", "bound_rho"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_quadrature_config_needs_finite_positive_values(field, value):
+    from impulsebvp.fnspace import build_mesh
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        QuadratureConfig(**{field: value})
+    with pytest.raises(ValueError, match="^spacing must be finite and positive"):
+        build_mesh(0.0, 10.0, spacing=value)
+
+
 def test_deterministic_for_fixed_config():
     p = make_problem(f=rhs(lambda t, x, y, z, w: np.exp(-t) * np.sin(x)),
                      boundary=(1.0, 0.0, 0.0, 0.0), u_points=(1.5,),
@@ -569,13 +579,18 @@ def test_plan_shares_one_mesh_plan_between_identical_meshes():
             assert np.array_equal(a.derivs, b.derivs)
 
 
-def test_plan_arrays_are_gauss_major():
-    from impulsebvp.operator import GAUSS_ORDER, OperatorPlan, _gauss_panels
+def test_plan_arrays_have_one_row_per_gauss_node():
+    from numpy.polynomial.legendre import leggauss
+    from impulsebvp.operator import GAUSS_ORDER, OperatorPlan
     p = _criterion04_problem()
     qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.02)
     plan = OperatorPlan.build(p, qc)
     npanels = plan.boundaries.size - 1
-    spts, wts = _gauss_panels(plan.boundaries)  # panel-major
+    # the panel-major arrays, built here: the plan's .T must equal them
+    xg, wg = leggauss(GAUSS_ORDER)
+    mid = 0.5 * (plan.boundaries[1:] + plan.boundaries[:-1])
+    half = 0.5 * np.diff(plan.boundaries)
+    spts, wts = mid[:, None] + half[:, None] * xg[None, :], half[:, None] * wg[None, :]
     assert np.array_equal(plan.spts, spts.T) and np.array_equal(plan.wts, wts.T)
     for mp in (plan.u, plan.v):
         for a in (plan.spts, plan.wts, *mp.weights):
@@ -685,7 +700,7 @@ def _nan_past(start, name):
 def _first_bad_time(plan, start):
     """The first Gauss point past ``start`` in time order."""
     from impulsebvp.operator import _gauss_panels
-    flat = _gauss_panels(plan.boundaries)[0].ravel()  # panel-major: time order
+    flat = _gauss_panels(plan.boundaries)[0].T.ravel()  # panel-major: time order
     return flat[np.flatnonzero(flat > start)[0]]
 
 

@@ -92,7 +92,7 @@ def test_plan_interpolation_is_point_evaluation(data):
     other = data.draw(meshes(t0=mesh.t0, length=mesh.horizon - mesh.t0))
     boundaries = _refined_boundaries(np.union1d(mesh.grid, other.grid),
                                      np.union1d(mesh.impulse_times, other.impulse_times))
-    spts, _ = _gauss_panels(boundaries, gauss_major=True)
+    spts, _ = _gauss_panels(boundaries)
     mp = _MeshPlan.build(mesh, boundaries, spts)
     x = data.draw(functions(mesh))
     val, der = mp.interpolate(x)

@@ -89,7 +89,7 @@ def test_affine_operator_contraction_matches_analytic_factor():
     # analytic factor by quadrature oracle
     from impulsebvp.operator import _gauss_panels
     bnd = np.linspace(0.0, 40.0, 4001)
-    spts, wts = _gauss_panels(bnd)
+    spts, wts = (a.T for a in _gauss_panels(bnd))
     c = (mass / (width * math.sqrt(2 * math.pi))) * np.exp(
         -0.5 * ((spts - center) / width) ** 2)
     analytic = float((wts * (spts / (1 + spts)) * c).sum())
@@ -123,6 +123,86 @@ def test_anderson_accelerates_slow_contraction():
     _, mixed = solve(p, SolverConfig(max_iter=40, tol=1e-10, anderson_depth=4), qc)
     assert mixed.converged
     assert mixed.iterations < plain.iterations or not plain.converged
+
+
+def _mixing_reference(p, sc, qc):
+    """solve's damped Anderson loop, written out plainly in its update
+    order: histories trimmed with pop(0), F from differences of residuals,
+    flat vectors cut with slices.  Returns (best pair, residual history)."""
+    from impulsebvp.operator import OperatorPlan
+
+    def flat(s):
+        return np.concatenate([s.u.values, s.u.derivs, [s.u.tail_slope],
+                               s.v.values, s.v.derivs, [s.v.tail_slope]])
+
+    def unflat(z, s):
+        nu, nv = s.u.values.size, s.v.values.size
+        off = 2 * nu + 1
+        return dataclasses.replace(
+            s, u=dataclasses.replace(s.u, values=z[:nu].copy(), derivs=z[nu:2 * nu].copy(),
+                                     tail_slope=float(z[2 * nu])),
+            v=dataclasses.replace(s.v, values=z[off:off + nv].copy(),
+                                  derivs=z[off + nv:off + 2 * nv].copy(),
+                                  tail_slope=float(z[off + 2 * nv])))
+
+    plan = OperatorPlan.build(p, qc)
+    s = initial_pair(p, qc)
+    history, zs, gs = [], [], []
+    best, best_res = None, math.inf
+    lam = sc.damping
+    for _ in range(sc.max_iter):
+        Ts, _ = apply_T(p, s, qc, plan)
+        res = norm_X(pair_lincomb(1.0, Ts, -1.0, s))
+        history.append(res)
+        if res < best_res:
+            best, best_res = s, res
+        if res <= sc.tol:
+            break
+        m = 0
+        if sc.anderson_depth > 0:
+            zs.append(flat(s))
+            gs.append(flat(Ts))
+            if len(zs) > sc.anderson_depth + 1:
+                zs.pop(0)
+                gs.pop(0)
+            m = len(zs) - 1
+        if m == 0:
+            s = Ts if lam == 1.0 else pair_lincomb(1.0 - lam, s, lam, Ts)
+            continue
+        r = [g - z for z, g in zip(zs, gs)]
+        F = np.stack([r[-i] - r[-i - 1] for i in range(1, m + 1)], axis=1)
+        dZ = np.stack([zs[-i] - zs[-i - 1] for i in range(1, m + 1)], axis=1)
+        dG = np.stack([gs[-i] - gs[-i - 1] for i in range(1, m + 1)], axis=1)
+        gamma, *_ = np.linalg.lstsq(F, r[-1], rcond=None)
+        z_next = (1.0 - lam) * (zs[-1] - dZ @ gamma) + lam * (gs[-1] - dG @ gamma)
+        s = unflat(z_next, s)
+    return best, history
+
+
+@pytest.mark.parametrize("damping", [0.5, 1.0])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_mixing_steps_match_a_plain_reference_bitwise(depth, damping):
+    f = RhsFunction(RHS_REGISTRY["bump_weighted_state"](mass=1.2, center=3.0,
+                                                        width=0.05),
+                    name="bump_weighted_state")
+    h = RHS_REGISTRY["linear_state_decay"](c0=0.2, cx=0.1, cz=-0.3)
+    p = simple_problem(f=f, h=h, boundary=(1.0, 0.5, 0.0, 0.25),
+                       v_schedule=ImpulseSchedule(points=(1.5, 4.0)),
+                       J1=ImpulseMap(lambda t, a, b: 0.05 * b, name="j1"))
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.05)
+    # a run that stops on tol and one that runs out of iterations
+    for tol, max_iter in ((1e-10, 30), (1e-30, 8)):
+        sc = SolverConfig(max_iter=max_iter, tol=tol, damping=damping,
+                          anderson_depth=depth)
+        pair, diag = solve(p, sc, qc)
+        want, history = _mixing_reference(p, sc, qc)
+        assert diag.residual_history == history
+        assert diag.iterations == len(history)
+        assert diag.converged == (min(history) <= tol)
+        for a, b in ((pair.u, want.u), (pair.v, want.v)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.derivs, b.derivs)
+            assert a.tail_slope == b.tail_slope
 
 
 def test_damping_path_converges():
@@ -275,6 +355,9 @@ def test_bounded_rule_fails_solve_fast():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
@@ -346,9 +429,9 @@ def _plain_rhs_integral_two_pass(rhs, s):
     from impulsebvp.operator import _gauss_panels
     boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
     spts, wts = _gauss_panels(boundaries)
-    flat = spts.ravel()
+    flat = spts.T.ravel()
     vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
-    return float((wts.ravel() * vals).sum())
+    return float((wts.T.ravel() * vals).sum())
 
 
 def test_shared_verifier_pass_matches_the_two_pass_integrals():
