@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fnspace import (PiecewiseC1Function, SolutionPair, _require_positive, norm_deriv_sup,
-                      norm_weighted_sup, norm_X)
+from .fnspace import (PiecewiseC1Function, SolutionPair, _require_domain, _require_positive,
+                      norm_deriv_sup, norm_weighted_sup, norm_X)
 from .kernel import boundary_weight_sup, kernel_weight_sup
 from .model import ImpulsiveCoupledBVP
 from .operator import (OperatorPlan, QuadratureConfig, _gauss_panels, apply_T,
@@ -109,12 +109,9 @@ class HypothesisReport:
     def to_dict(self):
         return {**asdict(self), "all_pass": self.all_pass}
 
-    def to_json(self, path=None, indent=2):
-        text = json.dumps(self.to_dict(), indent=indent)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_json(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
 
     def summary(self) -> str:
         lines = [
@@ -134,16 +131,18 @@ _REL_SLACK = 1e-12  # forgive float noise in <= comparisons
 
 
 def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
-                     samples, seed, horizon=40.0):
+                     samples, seed, horizon=QuadratureConfig.horizon):
     """Sample the rho-ball state box and check |f| <= Phi_rho, |h| <= Psi_rho.
 
     States are drawn with |x|, |y| < rho (1+t) and |z|, |w| < rho; when the
     bounds carry a ``u_floor``, x is drawn from [u_floor, rho (1+t)) so the
     h-dominator's domain assumption holds.  Returns the violation list
     (empty = pass on the sample set); non-finite dominator values and NaN
-    right-hand-side values count as violations.
+    right-hand-side values count as violations.  A ValueError names
+    ``u_floor`` when no sampled time admits a state above it.
     """
     _require_positive(rho=rho, samples=samples)
+    _require_domain(p.t0, horizon)
     rng = np.random.default_rng(seed)
     t = rng.uniform(p.t0, horizon, size=samples)
     amp = rho * (1.0 + t)
@@ -151,6 +150,10 @@ def check_domination(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
         # restrict to the admissible slab [u_floor, rho(1+t)); drop times
         # where it is empty
         keep = amp > b.u_floor
+        if not keep.any():
+            raise ValueError(f"u_floor must lie below rho (1 + t) at some sampled t in "
+                             f"[{p.t0:g}, {horizon:g}), got u_floor = {b.u_floor!r}, "
+                             f"rho = {rho!r}")
         t, amp = t[keep], amp[keep]
         x = rng.uniform(b.u_floor, amp)
     else:

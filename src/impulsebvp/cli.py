@@ -1,11 +1,12 @@
 """Command-line front-end: solve / check / study on problem files.
 
-Exit codes are a stable contract: 0 success, 1 input or evaluation error,
-2 reported non-convergence, 3 hypothesis-audit failure.  Every run writes
-a manifest (problem source, resolved configuration, seed, tool version,
-Python, numpy and platform versions) next to its outputs; re-running with
-the same manifest reproduces the data files bit-for-bit (the manifest
-itself carries the only timestamp).
+Exit codes are a stable contract: 0 success, 1 input, output or evaluation
+error (one ``error:`` line, or the failed validation checks), 2 reported
+non-convergence, 3 hypothesis-audit failure.  Every run writes a manifest
+(problem source, resolved configuration, seed, tool version, Python, numpy
+and platform versions) next to its outputs; re-running with the same
+manifest reproduces the data files bit-for-bit (the manifest itself carries
+the only timestamp).
 """
 
 import argparse
@@ -34,23 +35,31 @@ OUT_DIR_ENV = "IMPULSEBVP_OUT_DIR"
 
 def _add_common(sub):
     sub.add_argument("problem", help="problem JSON file")
-    sub.add_argument("--horizon", type=float, default=40.0,
-                     help="truncation horizon H (default 40)")
+    sub.add_argument("--horizon", type=float, default=QuadratureConfig.horizon,
+                     help="truncation horizon H (default %(default)g)")
     sub.add_argument("--t0", type=float, default=None,
                      help="override the working-domain start")
-    sub.add_argument("--mesh-spacing", type=float, default=0.01,
-                     help="node spacing of the working mesh (default 0.01)")
+    sub.add_argument("--mesh-spacing", type=float, default=QuadratureConfig.mesh_spacing,
+                     help="node spacing of the working mesh (default %(default)g)")
     sub.add_argument("--seed", type=int, default=0, help="manifest seed")
     sub.add_argument("--out-dir", default=None,
                      help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--max-iter", type=int, default=50)
-    sub.add_argument("--damping", type=float, default=1.0)
-    sub.add_argument("--anderson", type=int, default=0,
-                     help="Anderson mixing depth (0 = plain damped Picard)")
+    sub.add_argument("--tol", type=float, default=SolverConfig.tol,
+                     help="stop at ||T(s) - s||_X <= tol (default %(default)g)")
+    sub.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                     help="iteration cap (default %(default)g)")
+    sub.add_argument("--damping", type=float, default=SolverConfig.damping,
+                     help="damping in (0, 1] (default %(default)g)")
+    sub.add_argument("--anderson", type=int, default=SolverConfig.anderson_depth,
+                     help="Anderson mixing depth, 0 = damped Picard (default %(default)g)")
+
+
+def _solver_config(args):
+    return SolverConfig(max_iter=args.max_iter, tol=args.tol,
+                        damping=args.damping, anderson_depth=args.anderson)
 
 
 def build_parser():
@@ -90,8 +99,7 @@ def build_parser():
 
 
 def _out_dir(args):
-    d = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(d)
+    path = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -198,27 +206,17 @@ def _write_solution(out, pair, gnuplot_script=False):
 
 def cmd_solve(args):
     out = _out_dir(args)
-    try:
-        p, qc = _resolve(args)
-        if not _valid(p, args.horizon, args.seed):
-            return 1
-        sc = SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                          damping=args.damping, anderson_depth=args.anderson)
-        pair, diag = solve(p, sc, qc)
-        residuals = verify_residuals(p, pair)
-    except (RuntimeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    p, qc = _resolve(args)
+    if not _valid(p, args.horizon, args.seed):
         return 1
-
+    sc = _solver_config(args)
+    pair, diag = solve(p, sc, qc)
+    residuals = verify_residuals(p, pair)
     _write_manifest(out, args, qc=qc, sc=sc)
-    _write_solution(out, pair, gnuplot_script=getattr(args, "gnuplot_script", False))
-    diagnostics = {
-        "solve": diag.to_dict(),
-        "residuals": residuals.to_dict(),
-        "solution_norm": norm_X(pair),
-    }
+    _write_solution(out, pair, gnuplot_script=args.gnuplot_script)
     with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2)
+        json.dump({"solve": diag.to_dict(), "residuals": residuals.to_dict(),
+                   "solution_norm": norm_X(pair)}, fh, indent=2)
     status = "converged" if diag.converged else "did NOT converge"
     print(f"{status} after {diag.iterations} iterations; "
           f"final residual {diag.residual_history[-1]:.3e}; "
@@ -228,21 +226,16 @@ def cmd_solve(args):
 
 def cmd_check(args):
     out = _out_dir(args)
-    try:
-        p, qc = _resolve(args)
-        if p.bounds is None:
-            print("error: the problem carries no Caratheodory bounds "
-                  "(field 'bounds'); the audit needs Phi/Psi and the four "
-                  "impulse-bound sequences", file=sys.stderr)
-            return 1
-        rho1 = args.rho1 if args.rho1 is not None else args.rho
-        report = run_audit(p, p.bounds, rho=args.rho, rho1=rho1, K=args.K,
-                           qc=qc, samples=args.samples, seed=args.seed,
-                           ball_samples=args.ball_samples,
-                           sample_at_rho=not args.sample_at_rho2)
-    except (RuntimeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p, qc = _resolve(args)
+    if p.bounds is None:
+        raise ValueError("the problem carries no Caratheodory bounds "
+                         "(field 'bounds'); the audit needs Phi/Psi and the four "
+                         "impulse-bound sequences")
+    rho1 = args.rho1 if args.rho1 is not None else args.rho
+    report = run_audit(p, p.bounds, rho=args.rho, rho1=rho1, K=args.K,
+                       qc=qc, samples=args.samples, seed=args.seed,
+                       ball_samples=args.ball_samples,
+                       sample_at_rho=not args.sample_at_rho2)
     _write_manifest(out, args, qc=qc)
     report.to_json(out / "hypothesis_report.json")
     print(report.summary())
@@ -268,15 +261,10 @@ def _study_levels(args):
 
 def cmd_study(args):
     out = _out_dir(args)
-    try:
-        levels = _study_levels(args)
-        sc = SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                          damping=args.damping, anderson_depth=args.anderson)
-        p0 = _load(args)
-        if not _valid(p0, max(qc.horizon for qc in levels), args.seed):
-            return 1
-    except (RuntimeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    levels = _study_levels(args)
+    sc = _solver_config(args)
+    p0 = _load(args)
+    if not _valid(p0, max(qc.horizon for qc in levels), args.seed):
         return 1
 
     rows = []
@@ -317,7 +305,12 @@ def cmd_study(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    code = {"solve": cmd_solve, "check": cmd_check, "study": cmd_study}[args.command](args)
+    command = {"solve": cmd_solve, "check": cmd_check, "study": cmd_study}[args.command]
+    try:
+        code = command(args)
+    except (RuntimeError, ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
     sys.exit(code)
 
 

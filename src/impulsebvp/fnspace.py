@@ -90,6 +90,15 @@ def _require_positive(**values):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_domain(t0, horizon):
+    """Raise ValueError unless the working domain [t0, horizon) is finite
+    and 0 <= t0 < horizon."""
+    t0, horizon = float(t0), float(horizon)
+    if not (np.isfinite(horizon) and 0.0 <= t0 < horizon):
+        raise ValueError(f"t0 must be finite with 0 <= t0 < horizon, got t0 = {t0!r}, "
+                         f"horizon = {horizon!r}")
+
+
 def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     """Build a mesh on [t0, horizon] doubled at every interior impulse time.
 
@@ -98,11 +107,9 @@ def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     beyond the horizon falls outside the truncated domain.  Each smooth
     piece is subdivided uniformly so the node distance stays <= spacing.
     """
-    t0 = float(t0)
-    horizon = float(horizon)
-    if not horizon > t0:
-        raise ValueError("horizon must exceed t0")
+    _require_domain(t0, horizon)
     _require_positive(spacing=spacing)
+    t0, horizon = float(t0), float(horizon)
     pts = np.atleast_1d(np.asarray(impulse_times, dtype=float))
     pts = np.sort(pts[(pts > t0) & (pts < horizon)])
     if pts.size != np.unique(pts).size:

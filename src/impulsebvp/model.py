@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .fnspace import _require_domain
+
 __all__ = [
     "RhsFunction",
     "BoundaryData",
@@ -206,8 +208,8 @@ class ImpulsiveCoupledBVP:
     bounds: Optional["CaratheodoryBounds"] = None  # noqa: F821  (audit module)
 
     def __post_init__(self):
-        if self.t0 < 0.0:
-            raise ValueError("t0 must be >= 0")
+        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
+            raise ValueError(f"t0 must be finite and >= 0, got {self.t0!r}")
 
 
 @dataclass
@@ -251,8 +253,7 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     impulse maps are not sampled.  Each schedule is enumerated once.  The
     report is deterministic for a fixed seed.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    _require_domain(p.t0, horizon)
     rng = np.random.default_rng(seed)
     checks = []
 

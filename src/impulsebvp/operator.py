@@ -518,9 +518,8 @@ def semiinfinite_integral(g, t, q: QuadratureConfig, t0=0.0, breakpoints=()):
     tail past the horizon is NOT added; it is the caller's to account for.
     """
     H = q.horizon
-    if not 0.0 <= t0 < H:
-        raise ValueError("need 0 <= t0 < horizon")
-    # build_mesh keeps the breaks inside (t0, H), sorted, as impulse_times
+    # build_mesh checks 0 <= t0 < H and keeps the breaks inside (t0, H),
+    # sorted, as impulse_times
     mesh = build_mesh(t0, H, np.union1d(breakpoints, [t]), q.mesh_spacing)
     spts, wts = _gauss_panels(_refined_boundaries(mesh.grid, mesh.impulse_times))
     flat = spts.T.ravel()  # time order

@@ -144,11 +144,15 @@ SEQ_BOUND_REGISTRY = {
 }
 
 
-def _lookup(registry, what, name, where=""):
-    """``registry[name]``, or a KeyError naming ``what`` and listing the registry."""
+def _call(registry, what, name, params, where=""):
+    """``registry[name](**params)``; an unknown name, or params the entry does
+    not take, is a KeyError naming ``what`` and the entry."""
     if name not in registry:
         raise KeyError(f"unknown {what} {name!r}{where}; registry: {sorted(registry)}")
-    return registry[name]
+    try:
+        return registry[name](**params)
+    except TypeError as exc:
+        raise KeyError(f"{what} {name!r}{where}: {exc}") from exc
 
 
 def _make(cls, registry, what, spec):
@@ -156,7 +160,7 @@ def _make(cls, registry, what, spec):
     if spec is None:
         spec = {"name": "zero"}
     name, params = spec["name"], spec.get("params", {})
-    return cls(_lookup(registry, what, name)(**params), name=name, params=dict(params))
+    return cls(_call(registry, what, name, params), name=name, params=dict(params))
 
 
 def _make_bounds(spec):
@@ -165,8 +169,8 @@ def _make_bounds(spec):
 
     def pick(key, registry):
         sub = spec.get(key, {"name": "zero"})
-        fam = _lookup(registry, "bound family", sub["name"], f" for {key}")
-        return fam(**sub.get("params", {}))
+        return _call(registry, "bound family", sub["name"], sub.get("params", {}),
+                     f" for {key}")
 
     Phi, tail_f = pick("Phi", BOUND_REGISTRY)
     Psi, tail_h = pick("Psi", BOUND_REGISTRY)
@@ -202,22 +206,19 @@ def _make_schedule(spec) -> ImpulseSchedule:
 def _model_pendulum(**params):
     if "alpha" in params:
         params["alpha"] = tuple(params["alpha"])
-    extra = set(params) - set(PendulumParams.__dataclass_fields__)
-    if extra:
-        raise KeyError(f"unknown spring-pendulum parameters: {sorted(extra)}")
     return build_pendulum_problem(PendulumParams(**params))
 
 
 MODEL_REGISTRY = {
     "spring-pendulum": _model_pendulum,
-    "manufactured-exp": lambda **params: manufactured_problem(),
+    "manufactured-exp": manufactured_problem,
 }
 
 
 def load_problem(doc) -> ImpulsiveCoupledBVP:
     """Build a problem from a parsed JSON document (a dict)."""
     if "model" in doc:
-        return _lookup(MODEL_REGISTRY, "model", doc["model"])(**doc.get("params", {}))
+        return _call(MODEL_REGISTRY, "model", doc["model"], doc.get("params", {}))
 
     bd = doc.get("boundary")
     if bd is None:

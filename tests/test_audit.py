@@ -56,6 +56,21 @@ def test_domination_pendulum_passes_ten_thousand_samples():
     assert out == []
 
 
+def test_domination_needs_an_admissible_sampled_time():
+    # rho (1 + t) <= 0.01 * 41 < u_floor = l_min on all of [t0, 40]: no
+    # state can be drawn, so the audit has nothing to pass on
+    p = build_pendulum_problem(PendulumParams())
+    assert 0.01 * (1.0 + 40.0) <= p.bounds.u_floor
+    with pytest.raises(ValueError, match="^u_floor must lie below rho"):
+        check_domination(p, p.bounds, rho=0.01, samples=2000, seed=0)
+
+
+def test_domination_needs_t0_below_the_horizon():
+    p = build_pendulum_problem(PendulumParams())
+    with pytest.raises(ValueError, match="^t0 must be finite with 0 <= t0 < horizon"):
+        check_domination(p, p.bounds, rho=1.0, samples=100, seed=0, horizon=p.t0)
+
+
 def test_domination_reproducible_for_fixed_seed():
     p = zero_problem(f=RhsFunction(lambda t, x, y, z, w: x * 0.9, name="x"))
     b = const_bounds(phi=0.5)

@@ -152,6 +152,15 @@ BAD_INPUTS = [
     ("check", PENDULUM_DOC, ["--rho1", "nan"], "rho1"),
     ("check", PENDULUM_DOC, ["--rho1", "-1"], "rho1"),
     ("study", MANUFACTURED_DOC, ["--horizons", "20,10"], "horizons"),
+    ("solve", MANUFACTURED_DOC, ["--t0", "inf"], "t0"),
+    ("solve", MANUFACTURED_DOC, ["--t0", "nan"], "t0"),
+    ("solve", MANUFACTURED_DOC, ["--t0", "50"], "t0"),
+    ("check", PENDULUM_DOC, ["--t0", "nan"], "t0"),
+    ("check", PENDULUM_DOC, ["--t0", "50"], "t0"),
+    ("study", MANUFACTURED_DOC, ["--t0", "nan", "--horizons", "10,20"], "t0"),
+    ("study", MANUFACTURED_DOC, ["--t0", "30", "--horizons", "10,20"], "t0"),
+    # rho (1 + t) <= 0.41 < u_floor = 1 on all of [1, 40]: no state to test
+    ("check", PENDULUM_DOC, ["--rho", "0.01", "--sample-at-rho2"], "u_floor"),
 ]
 
 
@@ -169,6 +178,42 @@ def test_bad_numeric_input_fails_fast_naming_the_field(command, doc, flags, fiel
     assert "Traceback" not in res.stderr
     for name in ("solution.csv", "hypothesis_report.json", "study.csv"):
         assert not (out / name).exists()
+
+
+# each command on a problem it would finish, with the output directory
+# blocked: the directory is a file, or its manifest.json is a directory
+_FINISHING = [("solve", ZERO_DOC, ["--mesh-spacing", "0.1"]),
+              ("check", PENDULUM_DOC, _CHEAP["check"]),
+              ("study", ZERO_DOC, ["--horizons", "5,10", "--mesh-spacing", "0.1"])]
+
+
+@pytest.mark.parametrize("blocked", ["out_dir", "manifest"])
+@pytest.mark.parametrize("command,doc,flags", _FINISHING, ids=[c for c, _, _ in _FINISHING])
+def test_output_errors_leave_through_the_error_line(command, doc, flags, blocked, tmp_path):
+    prob = tmp_path / "problem.json"
+    prob.write_text(doc)
+    out = tmp_path / "o"
+    if blocked == "out_dir":
+        out.write_text("")
+    else:
+        (out / "manifest.json").mkdir(parents=True)
+    res = run_cli(command, str(prob), "--out-dir", str(out), *flags)
+    assert res.returncode == 1, res.stdout + res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+    assert errors and str(out) in errors[0], res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_flag_defaults_are_the_config_defaults():
+    from impulsebvp.cli import _solver_config, build_parser
+    from impulsebvp.operator import QuadratureConfig
+    from impulsebvp.solver import SolverConfig
+    qc = QuadratureConfig()
+    for command in ("solve", "check", "study"):
+        args = build_parser().parse_args([command, "x"])
+        assert (args.horizon, args.mesh_spacing) == (qc.horizon, qc.mesh_spacing)
+        if command != "check":
+            assert _solver_config(args) == SolverConfig()
 
 
 def test_check_pendulum_exit_zero(tmp_path):

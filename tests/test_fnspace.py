@@ -39,6 +39,14 @@ def test_mesh_rejects_bad_inputs():
         build_mesh(0.0, 1.0, [], spacing=-1.0)
 
 
+@pytest.mark.parametrize("t0,horizon", [(5.0, 5.0), (6.0, 5.0), (math.nan, 5.0),
+                                        (-1.0, 5.0), (0.0, math.inf)])
+def test_mesh_needs_a_finite_working_domain(t0, horizon):
+    with pytest.raises(ValueError, match=r"^t0 must be finite with 0 <= t0 < horizon, "
+                                         rf"got t0 = {t0!r}, horizon = {horizon!r}$"):
+        build_mesh(t0, horizon, [], spacing=0.1)
+
+
 def test_evaluation_left_continuous_at_impulse():
     m = build_mesh(0.0, 5.0, [2.0], spacing=0.25)
     x = constant_fn(m, 0.0, 0.0)

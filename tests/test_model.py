@@ -23,6 +23,20 @@ def empty_problem(boundary=None, **kw):
         J0=ImpulseMap.zero(), J1=ImpulseMap.zero(), **kw)
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -1.0])
+def test_problem_t0_must_be_finite_and_nonnegative(t0):
+    with pytest.raises(ValueError, match=f"^t0 must be finite and >= 0, got {t0!r}$"):
+        empty_problem(t0=t0)
+
+
+@pytest.mark.parametrize("t0,horizon", [(10.0, 10.0), (30.0, 20.0), (0.0, math.inf),
+                                        (0.0, math.nan)])
+def test_validation_needs_t0_below_the_horizon(t0, horizon):
+    with pytest.raises(ValueError, match=r"^t0 must be finite with 0 <= t0 < horizon, "
+                                         rf"got t0 = {t0!r}, horizon = {horizon!r}$"):
+        validate_problem(empty_problem(t0=t0), horizon)
+
+
 def test_boundary_data_must_be_finite():
     with pytest.raises(ValueError):
         BoundaryData(np.inf, 0.0, 0.0, 0.0)

@@ -188,6 +188,14 @@ def test_semiinfinite_integral_reports_nonfinite_location():
         semiinfinite_integral(lambda s: np.where(s > 2.0, np.nan, 1.0), 1.0, qc)
 
 
+@pytest.mark.parametrize("t0", [5.0, 7.5])
+def test_semiinfinite_integral_needs_t0_below_the_horizon(t0):
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    with pytest.raises(ValueError, match="^t0 must be finite with 0 <= t0 < horizon, "
+                                         f"got t0 = {t0!r}, horizon = 5.0$"):
+        semiinfinite_integral(lambda s: np.ones_like(s), 1.0, qc, t0=t0)
+
+
 def test_impulse_sums_examples():
     from impulsebvp.fnspace import build_mesh
     mesh = build_mesh(0.0, 10.0, [1.0], spacing=0.1)

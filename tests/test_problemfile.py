@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +77,37 @@ def test_unknown_names_rejected():
                       "bounds": {"psi_seq": {"name": "no-such-bound"}}})
     with pytest.raises(KeyError):
         load_problem({})  # boundary is mandatory
+
+
+_BOUNDARY = {"A1": 0, "A2": 0, "B1": 0, "B2": 0}
+MISTYPED_PARAMS = [
+    ({"boundary": _BOUNDARY, "rhs": {"f": {"name": "exp_decay", "params": {"rat": 2.0}}}},
+     r"rhs 'exp_decay': .*unexpected keyword argument 'rat'"),
+    ({"boundary": _BOUNDARY, "bounds": {"Phi": {"name": "constant", "params": {"valu": 2.0}}}},
+     r"bound family 'constant' for Phi: .*unexpected keyword argument 'valu'"),
+    ({"boundary": _BOUNDARY, "impulses": {"u": {"I0": {"name": "linear", "params": [1]}}}},
+     r"impulse map 'linear': .*must be a mapping"),
+    ({"model": "spring-pendulum", "params": {"alpha": 3}}, r"model 'spring-pendulum': "),
+    ({"model": "manufactured-exp", "params": {"rate": 2.0}},
+     r"model 'manufactured-exp': .*unexpected keyword argument 'rate'"),
+]
+
+
+@pytest.mark.parametrize("doc,match", MISTYPED_PARAMS,
+                         ids=["rhs", "bound", "params-list", "model", "model-no-params"])
+def test_mistyped_registry_params_name_the_entry(doc, match):
+    with pytest.raises(KeyError, match=match):
+        load_problem(doc)
+
+
+def test_mistyped_registry_params_fail_on_the_error_line(tmp_path):
+    prob = tmp_path / "mistyped.json"
+    prob.write_text(json.dumps(MISTYPED_PARAMS[0][0]))
+    res = subprocess.run([sys.executable, "-m", "impulsebvp.cli", "solve", str(prob),
+                          "--out-dir", str(tmp_path / "o")], capture_output=True, text=True)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: \"rhs 'exp_decay': "), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_registries_cover_documented_names():
