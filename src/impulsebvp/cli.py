@@ -205,11 +205,11 @@ def _write_solution(out, pair, gnuplot_script=False):
 
 
 def cmd_solve(args):
-    out = _out_dir(args)
     p, qc = _resolve(args)
     if not _valid(p, args.horizon, args.seed):
         return 1
     sc = _solver_config(args)
+    out = _out_dir(args)
     pair, diag = solve(p, sc, qc)
     residuals = verify_residuals(p, pair)
     _write_manifest(out, args, qc=qc, sc=sc)
@@ -225,7 +225,6 @@ def cmd_solve(args):
 
 
 def cmd_check(args):
-    out = _out_dir(args)
     p, qc = _resolve(args)
     if p.bounds is None:
         raise ValueError("the problem carries no Caratheodory bounds "
@@ -236,6 +235,7 @@ def cmd_check(args):
                        qc=qc, samples=args.samples, seed=args.seed,
                        ball_samples=args.ball_samples,
                        sample_at_rho=not args.sample_at_rho2)
+    out = _out_dir(args)
     _write_manifest(out, args, qc=qc)
     report.to_json(out / "hypothesis_report.json")
     print(report.summary())
@@ -260,12 +260,12 @@ def _study_levels(args):
 
 
 def cmd_study(args):
-    out = _out_dir(args)
     levels = _study_levels(args)
     sc = _solver_config(args)
     p0 = _load(args)
     if not _valid(p0, max(qc.horizon for qc in levels), args.seed):
         return 1
+    out = _out_dir(args)
 
     rows = []
     prev = None
@@ -309,7 +309,9 @@ def main(argv=None):
     try:
         code = command(args)
     except (RuntimeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {msg}", file=sys.stderr)
         code = 1
     sys.exit(code)
 

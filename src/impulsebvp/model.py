@@ -7,8 +7,8 @@ increasing unbounded schedules of impulse times, with jump sizes produced
 by maps of the left limits.  Nothing in this module knows about meshes or
 solution methods.
 
-Everything is immutable after construction and the callables are expected
-to be pure, so concurrent evaluation is safe.
+Everything is immutable after construction; the callables are expected to
+be pure and get read-only arguments, so concurrent evaluation is safe.
 """
 
 import itertools
@@ -43,31 +43,46 @@ class _ScheduleOrderError(ValueError):
                          f"{value!r} does not exceed rule({k - 1}) = {prev!r}")
 
 
-def _call_vectorized(fn, *arrays):
-    """Call fn on numpy arrays, falling back to a scalar loop."""
+def _pointwise(fn, lead, *rest):
+    """fn(lead, *rest) on read-only float arrays of lead's shape; a callable
+    that cannot take arrays, or that writes into them, runs point by point."""
+    shape = np.shape(lead)
+    args = [np.asarray(a, dtype=float) for a in (lead, *rest)]
+    args = [a.view() if a.shape == shape else np.broadcast_to(a, shape) for a in args]
+    for a in args:
+        a.flags.writeable = False
     try:
-        out = np.asarray(fn(*arrays), dtype=float)
-        if out.shape == arrays[0].shape:
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape == shape:
             return out
     except (TypeError, ValueError):
         pass
-    flat = np.broadcast_arrays(*arrays)
-    out = np.array([float(fn(*vals)) for vals in zip(*(a.ravel() for a in flat))])
-    return out.reshape(flat[0].shape)
+    out = np.array([float(fn(*vals)) for vals in zip(*(a.ravel() for a in args))])
+    return out.reshape(shape)
+
+
+def _first_nonfinite(*arrays, rank=None):
+    """Flat index of the first entry that is non-finite in any of the
+    same-shape ``arrays`` (with ``rank``, of least rank(index)), or None."""
+    ok = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    if ok.all():
+        return None
+    i = np.flatnonzero(~ok)
+    return int(i[0] if rank is None else i[np.argmin(rank(i))])
 
 
 @dataclass(frozen=True)
 class RhsFunction:
     """Right-hand side g(t, x, y, z, w) with (x,y,z,w) = (u, v, u', v').
 
-    ``fn`` should accept numpy arrays; scalar-only callables are looped
-    over transparently.  The points arrive in no particular time order
-    (the operator passes its quadrature points Gauss-major), so ``fn``
-    must be pointwise: its value at a point depends only on that point's
-    arguments.  It may be called more than once per operator application,
-    on disjoint sets of points (one call per block of quadrature panels).
-    ``name``/``params`` identify registry entries for
-    problem files and are purely descriptive here.
+    ``fn`` gets five read-only float arrays of one shape; one that cannot
+    take arrays, or that writes into them, is looped over point by point.
+    The points arrive in no particular time order (the operator passes its
+    quadrature points Gauss-major), so ``fn`` must be pointwise: its value
+    at a point depends only on that point's arguments.  It may be called
+    more than once per operator application, on disjoint sets of points
+    (one call per block of quadrature panels).  ``name``/``params``
+    identify registry entries for problem files and are descriptive here.
     """
 
     fn: Callable
@@ -75,9 +90,7 @@ class RhsFunction:
     params: dict = field(default_factory=dict)
 
     def __call__(self, t, x, y, z, w):
-        t = np.asarray(t, dtype=float)
-        x, y, z, w = (np.broadcast_to(np.asarray(a, dtype=float), t.shape) for a in (x, y, z, w))
-        return _call_vectorized(self.fn, t, x, y, z, w)
+        return _pointwise(self.fn, t, x, y, z, w)
 
 
 @dataclass(frozen=True)
@@ -175,10 +188,7 @@ class ImpulseMap:
     params: dict = field(default_factory=dict)
 
     def __call__(self, p, a, b):
-        p = np.asarray(p, dtype=float)
-        a = np.broadcast_to(np.asarray(a, dtype=float), p.shape)
-        b = np.broadcast_to(np.asarray(b, dtype=float), p.shape)
-        return _call_vectorized(self.fn, p, a, b)
+        return _pointwise(self.fn, p, a, b)
 
     @staticmethod
     def zero():
@@ -270,15 +280,11 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     for name, fn in (("f", p.f), ("h", p.h)):
         entry = {"name": f"{name}_finite", "passed": True, "details": {}}
         try:
-            vals = fn(t, x, y, z, w)
-            bad = ~np.isfinite(vals)
-            if np.any(bad):
-                i = int(np.nonzero(bad)[0][0])
+            i = _first_nonfinite(fn(t, x, y, z, w))
+            if i is not None:
                 entry["passed"] = False
                 entry["details"]["first_nonfinite"] = {
-                    "t": float(t[i]), "x": float(x[i]), "y": float(y[i]),
-                    "z": float(z[i]), "w": float(w[i]),
-                }
+                    k: float(a[i]) for k, a in zip("txyzw", (t, x, y, z, w))}
         except Exception as exc:
             entry["passed"] = False
             entry["details"]["error"] = str(exc)

@@ -77,7 +77,7 @@ from numpy.polynomial.legendre import leggauss
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
                       _hermite_weights, _require_positive, build_mesh, norm_X)
 from .kernel import green
-from .model import ImpulsiveCoupledBVP
+from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
 PANELS_PER_PIECE = 16  # least panels between consecutive impulse times
@@ -374,12 +374,9 @@ def _rhs_values(rhs, shape, args):
     """rhs at a block's Gauss points: ``args`` is (t, u, v, u', v') flat in
     Gauss-major order, the result has the block's ``shape``."""
     vals = rhs(*args)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        # report the first bad point in time order: panel-major, not flat order
-        i = np.flatnonzero(bad)
-        npanels = shape[1]
-        i = int(i[np.argmin(i % npanels * GAUSS_ORDER + i // npanels)])
+    # report the first bad point in time order: panel-major, not flat order
+    i = _first_nonfinite(vals, rank=lambda j: j % shape[1] * GAUSS_ORDER + j // shape[1])
+    if i is not None:
         raise EvaluationError(rhs.name, args[0][i], tuple(a[i] for a in args[1:]))
     return vals.reshape(shape)
 
@@ -414,14 +411,12 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
         a_left, b_left = x_self.values[mp.lo], x_self.derivs[mp.lo]
         c0 = np.atleast_1d(m0_map(pts, a_left, b_left)).astype(float)
         c1 = np.atleast_1d(m1_map(pts, a_left, b_left)).astype(float)
-        bad = ~(np.isfinite(c0) & np.isfinite(c1))
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
+        i = _first_nonfinite(c0, c1)
+        if i is not None:
             raise EvaluationError("impulse map", pts[i],
                                   (a_left[i], b_left[i], c0[i], c1[i]))
     else:
-        c0 = np.zeros(0)
-        c1 = np.zeros(0)
+        c0 = c1 = np.zeros(0)
     prefix0 = _prefix_sums(c0)
     prefix1 = _prefix_sums(c1)
     prefix1p = _prefix_sums(c1 * pts)
@@ -524,9 +519,8 @@ def semiinfinite_integral(g, t, q: QuadratureConfig, t0=0.0, breakpoints=()):
     spts, wts = _gauss_panels(_refined_boundaries(mesh.grid, mesh.impulse_times))
     flat = spts.T.ravel()  # time order
     gv = np.broadcast_to(np.asarray(g(flat), dtype=float), flat.shape)
-    bad = ~np.isfinite(gv)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
+    i = _first_nonfinite(gv)
+    if i is not None:
         raise EvaluationError("integrand", flat[i], (0.0, 0.0, 0.0, 0.0))
     return float((wts.T.ravel() * green(t, flat) * gv).sum())
 

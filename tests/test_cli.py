@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -178,6 +179,42 @@ def test_bad_numeric_input_fails_fast_naming_the_field(command, doc, flags, fiel
     assert "Traceback" not in res.stderr
     for name in ("solution.csv", "hypothesis_report.json", "study.csv"):
         assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("command,doc,flags,field", BAD_INPUTS,
+                         ids=[" ".join([c, *f]) for c, _, f, _ in BAD_INPUTS])
+def test_bad_input_creates_no_output_directory(command, doc, flags, field, tmp_path,
+                                               capsys):
+    prob = tmp_path / "problem.json"
+    prob.write_text(doc)
+    out = tmp_path / "o"
+    assert _run_main([command, str(prob), "--out-dir", str(out), *_CHEAP[command],
+                      *flags]) == 1
+    assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_model_prints_the_bare_message(tmp_path, capsys):
+    from impulsebvp.problemfile import MODEL_REGISTRY
+    prob = tmp_path / "problem.json"
+    prob.write_text('{"model": "nope"}')
+    assert _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: unknown model 'nope'; "
+                                       f"registry: {sorted(MODEL_REGISTRY)}\n")
+
+
+def test_nonfinite_impulse_map_fails_on_the_error_line(tmp_path, capsys):
+    doc = {"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
+           "impulses": {"v": {"schedule": {"points": [1.0, 2.0]},
+                              "J1": {"name": "constant", "params": {"value": math.nan}}}}}
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    assert _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "o"),
+                      "--horizon", "5", "--mesh-spacing", "0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: impulse map returned a non-finite "
+                                               "value at s=1 "), err
+    assert err[0].endswith(" in iteration 1")
 
 
 # each command on a problem it would finish, with the output directory

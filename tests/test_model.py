@@ -198,3 +198,47 @@ def test_impulse_map_broadcasts_scalars():
 def test_problem_rejects_negative_t0():
     with pytest.raises(ValueError):
         empty_problem(t0=-1.0)
+
+
+def _raise_boom(*args):
+    raise RuntimeError("boom")
+
+
+def test_validation_reports_a_problem_function_that_raises():
+    import dataclasses
+    report = validate_problem(dataclasses.replace(empty_problem(), f=RhsFunction(_raise_boom)),
+                              10.0)
+    assert not report.passed
+    entry = report.entries("f_finite")[0]
+    assert not entry["passed"] and entry["details"]["error"] == "boom"
+
+    p = dataclasses.replace(empty_problem(), u_schedule=ImpulseSchedule(points=(1.0, 2.0)),
+                            I0=ImpulseMap(_raise_boom))
+    report = validate_problem(p, 10.0)
+    assert not report.passed
+    entry = report.entries("I0_continuity")[0]
+    assert not entry["passed"] and entry["details"]["error"] == "boom"
+
+
+def test_problem_functions_get_read_only_arguments():
+    seen = []
+
+    def probe(*args):
+        seen.append([a.flags.writeable for a in args])
+        return np.zeros_like(args[0])
+
+    t = np.linspace(0.0, 1.0, 5)
+    RhsFunction(probe)(t, t.copy(), 0.0, np.ones(5), 1.0)
+    ImpulseMap(probe)(t, t.copy(), 2.0)
+    assert seen == [[False] * 5, [False] * 3]
+    assert t.flags.writeable  # the caller's array is untouched
+
+
+def test_functions_that_write_into_arguments_run_point_by_point():
+    def scale_t(t, x, y, z, w):
+        t *= 2.0
+        return t + x
+
+    t, x = np.array([1.0, 2.0]), np.array([10.0, 20.0])
+    assert RhsFunction(scale_t)(t, x, 0.0, 0.0, 0.0).tolist() == [12.0, 24.0]
+    assert t.tolist() == [1.0, 2.0] and x.tolist() == [10.0, 20.0]

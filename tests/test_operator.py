@@ -736,3 +736,74 @@ def test_rhs_errors_keep_their_precedence_across_blocks(monkeypatch):
         apply_T(p, s, qc, plan)
     assert exc.value.location["rhs"] == "h"
     assert exc.value.location["s"] == _first_bad_time(plan, 1.05)
+
+
+def _scale_t(t, x, y, z, w):
+    t *= 1.001  # writes into its argument
+    return np.exp(-t) + 0.1 * x
+
+
+def _shift_p(p, a, b):
+    p += 1e-3  # writes into its argument
+    return 0.1 + 0.0 * a
+
+
+def test_rhs_writing_into_t_leaves_the_plan_unchanged():
+    from impulsebvp.operator import BLOCK_PANELS, OperatorPlan
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    p = make_problem(f=rhs(_scale_t), boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.0))
+    plan = OperatorPlan.build(p, qc)
+    assert plan.boundaries.size - 1 <= BLOCK_PANELS  # one block: t is a view of spts
+    spts = plan.spts.copy()
+    s = initial_pair(p, qc)
+    first, _ = apply_T(p, s, qc, plan)
+    second, _ = apply_T(p, s, qc, plan)
+    assert np.array_equal(plan.spts, spts)
+    assert np.array_equal(first.u.values, second.u.values)
+    assert np.array_equal(first.u.derivs, second.u.derivs)
+
+
+def test_impulse_map_writing_into_p_leaves_the_impulse_times_unchanged():
+    from impulsebvp.solver import verify_residuals
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    p = make_problem(boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.0),
+                     I0=ImpulseMap(_shift_p), I1=ImpulseMap(_shift_p))
+    s = initial_pair(p, qc)
+    out, _ = apply_T(p, s, qc)
+    assert s.u.mesh.impulse_times.tolist() == [1.0, 2.0]
+    assert out.u.mesh.impulse_times.tolist() == [1.0, 2.0]
+    assert np.allclose(out.u.values[out.u.mesh.right_slot[out.u.mesh.doubled_nodes()]]
+                       - out.u.values[out.u.mesh.left_slot[out.u.mesh.doubled_nodes()]], 0.1)
+    verify_residuals(p, out)
+    assert out.u.mesh.impulse_times.tolist() == [1.0, 2.0]
+
+
+def test_operator_passes_read_only_arguments():
+    from impulsebvp.solver import verify_residuals
+    seen = []
+
+    def probe(*args):
+        seen.append(all(not a.flags.writeable for a in args))
+        return np.zeros_like(args[0])
+
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    p = make_problem(f=rhs(probe), h=rhs(probe), u_points=(1.0,), v_points=(2.0,),
+                     I0=ImpulseMap(probe), I1=ImpulseMap(probe),
+                     J0=ImpulseMap(probe), J1=ImpulseMap(probe))
+    s, _ = apply_T(p, initial_pair(p, qc), qc)
+    verify_residuals(p, s)
+    assert len(seen) >= 12 and all(seen)
+
+
+def test_nonfinite_impulse_map_value_names_the_map_and_its_time():
+    from impulsebvp.solver import SolverConfig, solve
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    p = make_problem(boundary=(1.0, 0.0, 0.5, 0.0), v_points=(1.0, 2.0, 3.0),
+                     J1=ImpulseMap(lambda pp, a, b: np.where(pp == 2.0, np.nan, 0.0)))
+    with pytest.raises(EvaluationError, match=r"^impulse map returned a non-finite "
+                                              r"value at s=2 ") as exc:
+        apply_T(p, initial_pair(p, qc), qc)
+    assert exc.value.location["rhs"] == "impulse map"
+    assert exc.value.location["s"] == 2.0
+    with pytest.raises(EvaluationError, match=r"at s=2 .* in iteration 1$"):
+        solve(p, SolverConfig(), qc)

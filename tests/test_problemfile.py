@@ -106,7 +106,7 @@ def test_mistyped_registry_params_fail_on_the_error_line(tmp_path):
     res = subprocess.run([sys.executable, "-m", "impulsebvp.cli", "solve", str(prob),
                           "--out-dir", str(tmp_path / "o")], capture_output=True, text=True)
     assert res.returncode == 1
-    assert res.stderr.startswith("error: \"rhs 'exp_decay': "), res.stderr
+    assert res.stderr.startswith("error: rhs 'exp_decay': "), res.stderr
     assert "Traceback" not in res.stderr
 
 
