@@ -228,7 +228,7 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
         for _ in range(samples_per_point):
             a = rng.uniform(-1.0, 1.0, size=pts.size) * rho * (1.0 + pts)
             bb = rng.uniform(-rho, rho, size=pts.size)
-            vals = np.abs(np.atleast_1d(mp(pts, a, bb)))
+            vals = np.abs(mp(pts, a, bb))
             cap_k = caps[:pts.size]
             bad = ~(vals <= cap_k * (1.0 + _REL_SLACK) + _REL_SLACK)
             for i in np.nonzero(bad)[0]:

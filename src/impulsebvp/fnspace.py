@@ -11,8 +11,8 @@ never crosses them.  Evaluation at an impulse time returns the left slot
 The weighted norms are the computational stand-ins for the function-space
 norms: ``norm_weighted_sup`` is sup |x(t)|/(1+t), ``norm_deriv_sup`` is
 sup |x'(t)|, both taken over node slots and combined with the limit terms
-induced by the affine tail.  All objects are immutable; operations return
-new instances.
+induced by the affine tail, and NaN if any part is.  All objects are
+immutable; operations return new instances.
 """
 
 from dataclasses import dataclass, replace
@@ -285,22 +285,18 @@ class SolutionPair:
 def norm_weighted_sup(x: PiecewiseC1Function) -> float:
     """sup |x(t)| / (1 + t) over node slots, combined with the tail limit."""
     w = np.abs(x.values) / (1.0 + x.mesh.nodes)
-    return max(float(w.max()), abs(x.tail_slope))
+    return float(np.maximum(w.max(), abs(x.tail_slope)))
 
 
 def norm_deriv_sup(x: PiecewiseC1Function) -> float:
     """sup |x'(t)| over node slots, combined with the tail limit."""
-    return max(float(np.abs(x.derivs).max()), abs(x.tail_slope))
+    return float(np.maximum(np.abs(x.derivs).max(), abs(x.tail_slope)))
 
 
 def norm_X(s: SolutionPair) -> float:
     """max of the four component norms; the iteration's stopping metric."""
-    return max(
-        norm_weighted_sup(s.u),
-        norm_deriv_sup(s.u),
-        norm_weighted_sup(s.v),
-        norm_deriv_sup(s.v),
-    )
+    return float(np.max([norm_weighted_sup(s.u), norm_deriv_sup(s.u),
+                         norm_weighted_sup(s.v), norm_deriv_sup(s.v)]))
 
 
 def apply_jump(x: PiecewiseC1Function, p, dv, dd) -> PiecewiseC1Function:

@@ -57,8 +57,8 @@ def manufactured_problem() -> ImpulsiveCoupledBVP:
         return np.where(np.asarray(p) == 2.0, JUMP_DERIV_AT_2, 0.0)
 
     return ImpulsiveCoupledBVP(
-        f=RhsFunction(exp_decay, name="exp_decay", params={"amplitude": 1.0, "rate": 1.0}),
-        h=RhsFunction(exp_decay, name="exp_decay", params={"amplitude": 1.0, "rate": 1.0}),
+        f=RhsFunction(exp_decay, name="exp_decay"),
+        h=RhsFunction(exp_decay, name="exp_decay"),
         boundary=BoundaryData(A1=2.0, A2=0.0, B1=1.0 + JUMP_DERIV_AT_2, B2=1.0),
         u_schedule=ImpulseSchedule(points=(1.0, 2.0)),
         v_schedule=ImpulseSchedule.empty(),

@@ -13,7 +13,7 @@ be pure and get read-only arguments, so concurrent evaluation is safe.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,13 +81,12 @@ class RhsFunction:
     quadrature points Gauss-major), so ``fn`` must be pointwise: its value
     at a point depends only on that point's arguments.  It may be called
     more than once per operator application, on disjoint sets of points
-    (one call per block of quadrature panels).  ``name``/``params``
-    identify registry entries for problem files and are descriptive here.
+    (one call per block of quadrature panels).  ``name`` identifies it in
+    error messages, and names the registry entry of a problem file.
     """
 
     fn: Callable
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t, x, y, z, w):
         return _pointwise(self.fn, t, x, y, z, w)
@@ -185,7 +184,6 @@ class ImpulseMap:
 
     fn: Callable
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, p, a, b):
         return _pointwise(self.fn, p, a, b)

@@ -96,7 +96,8 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """A right-hand side returned a non-finite value; carries the location.
+    """A right-hand side, an impulse map or an operator component (T1, T2)
+    gave a non-finite value; carries the location.
 
     ``solve`` adds the failing iteration to ``location`` after the error is
     raised, and the message names it from then on."""
@@ -393,8 +394,9 @@ def _panel_sums(a):
 
 
 def _moments(spts, wts, rvals):
-    """Per-panel sums of w r and w s r over a Gauss-major block."""
-    return _panel_sums(wts * rvals), _panel_sums(wts * spts * rvals)
+    """Per-panel sums of w r and w s r over a Gauss-major block (overflow is silent)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _panel_sums(wts * rvals), _panel_sums(wts * spts * rvals)
 
 
 def _prefix_sums(x):
@@ -402,44 +404,45 @@ def _prefix_sums(x):
     return np.concatenate(([0.0], np.cumsum(x)))
 
 
-def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, C0, C1):
-    """Assemble one operator component on the iterate's mesh."""
+def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, m0, m1):
+    """Assemble one operator component on the iterate's mesh from the per-panel
+    moments m0, m1 of its right-hand side; overflow is silent, apply_T reports it."""
     mesh = x_self.mesh
     nodes = mesh.nodes
     pts = mesh.impulse_times
     if pts.size:
         a_left, b_left = x_self.values[mp.lo], x_self.derivs[mp.lo]
-        c0 = np.atleast_1d(m0_map(pts, a_left, b_left)).astype(float)
-        c1 = np.atleast_1d(m1_map(pts, a_left, b_left)).astype(float)
+        c0, c1 = m0_map(pts, a_left, b_left), m1_map(pts, a_left, b_left)
         i = _first_nonfinite(c0, c1)
         if i is not None:
             raise EvaluationError("impulse map", pts[i],
                                   (a_left[i], b_left[i], c0[i], c1[i]))
     else:
         c0 = c1 = np.zeros(0)
-    prefix0 = _prefix_sums(c0)
-    prefix1 = _prefix_sums(c1)
-    prefix1p = _prefix_sums(c1 * pts)
-    S1 = prefix1[-1]
-    total0 = C0[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C0, C1 = _prefix_sums(m0), _prefix_sums(m1)
+        prefix0 = _prefix_sums(c0)
+        prefix1 = _prefix_sums(c1)
+        prefix1p = _prefix_sums(c1 * pts)
+        S1 = prefix1[-1]
+        total0 = C0[-1]
 
-    panel, cnt = mp.panel, mp.cnt
-    ival = -(C1[panel] + nodes * (total0 - C0[panel]))
-    ider = -(total0 - C0[panel])
-    pulse_val = prefix0[cnt] + nodes * prefix1[cnt] - prefix1p[cnt]
-    pulse_der = prefix1[cnt]
+        panel, cnt = mp.panel, mp.cnt
+        ival = -(C1[panel] + nodes * (total0 - C0[panel]))
+        ider = -(total0 - C0[panel])
+        pulse_val = prefix0[cnt] + nodes * prefix1[cnt] - prefix1p[cnt]
+        pulse_der = prefix1[cnt]
 
-    values = A + B * nodes + pulse_val - nodes * S1 + ival
-    derivs = B + pulse_der - S1 + ider
+        values = A + B * nodes + pulse_val - nodes * S1 + ival
+        derivs = B + pulse_der - S1 + ider
 
-    # insert the jumps algebraically: right slot = left slot + jump, exactly;
-    # this overwrites every right slot, so cnt need not count its own impulse
-    values[mp.hi] = values[mp.lo] + c0
-    derivs[mp.hi] = derivs[mp.lo] + c1
+        # insert the jumps algebraically: right slot = left slot + jump, exactly;
+        # this overwrites every right slot, so cnt need not count its own impulse
+        values[mp.hi] = values[mp.lo] + c0
+        derivs[mp.hi] = derivs[mp.lo] + c1
 
-    out = PiecewiseC1Function(mesh=mesh, values=values, derivs=derivs,
-                              tail_slope=float(B))
-    return out, c0, c1
+    return PiecewiseC1Function(mesh=mesh, values=values, derivs=derivs,
+                               tail_slope=float(B)), c0, c1
 
 
 def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
@@ -455,7 +458,8 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     docstring), so f and h are each called once per block.  Errors keep
     the precedence of a single pass: a non-finite f value first (at its
     first point in time order), then the u impulse maps, then h, then the
-    v impulse maps.
+    v impulse maps.  Last, T1 then T2 at their first non-finite slot, with
+    the iterate's (u, v, u', v') at its time.
     """
     if plan is None:
         plan = OperatorPlan.build(p, q)
@@ -479,11 +483,16 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
                 h_error = exc  # raised once f has been checked on every block
 
     out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
-                                       s.u, plan.u, _prefix_sums(m0f), _prefix_sums(m1f))
+                                       s.u, plan.u, m0f, m1f)
     if h_error is not None:
         raise h_error
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
-                                       s.v, plan.v, _prefix_sums(m0h), _prefix_sums(m1h))
+                                       s.v, plan.v, m0h, m1h)
+    for name, out in (("T1", out_u), ("T2", out_v)):
+        i = _first_nonfinite(out.values, out.derivs)
+        if i is not None:
+            t = out.mesh.nodes[i]
+            raise EvaluationError(name, t, (s.u(t), s.v(t), s.u.deriv(t), s.v.deriv(t)))
 
     # the problem's Caratheodory tails at bound_rho are the only tail bounds
     b = p.bounds if q.bound_rho is not None else None
@@ -537,8 +546,7 @@ def impulse_sums(schedule, m0, m1, x: PiecewiseC1Function, t, horizon):
     if pts.size == 0:
         return 0.0, 0.0
     a, b = x.value_and_deriv(pts)  # left-continuous evaluation = left limits
-    c0 = np.atleast_1d(m0(pts, a, b)).astype(float)
-    c1 = np.atleast_1d(m1(pts, a, b)).astype(float)
+    c0, c1 = m0(pts, a, b), m1(pts, a, b)
     before = pts < t
     partial = float(np.sum(c0[before] + c1[before] * (t - pts[before])))
     return partial, float(np.sum(c1))

@@ -163,21 +163,17 @@ def build_pendulum_problem(pp: PendulumParams) -> ImpulsiveCoupledBVP:
     a = pp.alpha
     integers = ImpulseSchedule(rule=lambda k: float(k))
     return ImpulsiveCoupledBVP(
-        f=RhsFunction(spring_pendulum_f(**phys), name="spring-pendulum-f",
-                      params=dict(phys)),
-        h=RhsFunction(spring_pendulum_h(**phys), name="spring-pendulum-h",
-                      params=dict(phys)),
+        f=RhsFunction(spring_pendulum_f(**phys), name="spring-pendulum-f"),
+        h=RhsFunction(spring_pendulum_h(**phys), name="spring-pendulum-h"),
         boundary=BoundaryData(A1=0.0, A2=0.0, B1=pp.B1, B2=pp.B2),
         u_schedule=integers,
         v_schedule=integers,
-        I0=ImpulseMap(lambda p, x, z: (a[0] * x + a[1] * z) / p ** 3,
-                      name="power-decay", params={"ca": a[0], "cb": a[1], "power": 3.0}),
+        I0=ImpulseMap(lambda p, x, z: (a[0] * x + a[1] * z) / p ** 3, name="power-decay"),
         I1=ImpulseMap(lambda p, x, z: (a[2] * x + a[3] * z) / p ** pp.beta,
-                      name="power-decay", params={"ca": a[2], "cb": a[3], "power": pp.beta}),
+                      name="power-decay"),
         J0=ImpulseMap(lambda p, y, w: (a[4] * y + a[5] * w) / p ** pp.gamma,
-                      name="power-decay", params={"ca": a[4], "cb": a[5], "power": pp.gamma}),
-        J1=ImpulseMap(lambda p, y, w: (a[6] * y + a[7] * w) / p ** 3,
-                      name="power-decay", params={"ca": a[6], "cb": a[7], "power": 3.0}),
+                      name="power-decay"),
+        J1=ImpulseMap(lambda p, y, w: (a[6] * y + a[7] * w) / p ** 3, name="power-decay"),
         t0=pp.t0,
         bounds=_pendulum_bounds(pp),
     )

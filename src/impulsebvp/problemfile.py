@@ -160,7 +160,7 @@ def _make(cls, registry, what, spec):
     if spec is None:
         spec = {"name": "zero"}
     name, params = spec["name"], spec.get("params", {})
-    return cls(_call(registry, what, name, params), name=name, params=dict(params))
+    return cls(_call(registry, what, name, params), name=name)
 
 
 def _make_bounds(spec):

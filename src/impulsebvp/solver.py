@@ -2,10 +2,11 @@
 
 The existence theory behind the operator is non-constructive (compactness
 plus a fixed-point theorem), so no iteration is guaranteed to converge.
-The solver therefore treats non-convergence as a first-class outcome: it
-runs damped Picard iteration, optionally Anderson-accelerated, records the
-residual history in the weighted product norm, and returns the
-lowest-residual iterate with diagnostics either way.
+Non-convergence is a first-class outcome: each step is one mixing step
+(damped Picard, optionally Anderson-accelerated) on the flat iterate, the
+residual is the X-norm of its flat difference to its image, and the
+lowest-residual iterate is returned with diagnostics either way.  A
+non-finite image raises EvaluationError naming T1/T2, time and iteration.
 
 ``verify_residuals`` is deliberately independent of the solver path: it
 reconstructs second derivatives from the stored first derivatives (which
@@ -21,8 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .fnspace import (SolutionPair, _require_positive, constant_fn, norm_X, pair_lincomb,
-                      slot_sides)
+from .fnspace import SolutionPair, _require_positive, constant_fn, norm_X, slot_sides
 from .model import ImpulsiveCoupledBVP
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
                        TruncationReport, _gauss_panels, apply_T, problem_meshes)
@@ -156,6 +156,23 @@ def _contraction_estimate(history):
     return float(np.median(tail))
 
 
+def _mix(zs, gs, damping):
+    """Next flat iterate from flat iterates ``zs`` and images ``gs``, newest last:
+    (1 - damping) z + damping g (g for damping 1), Anderson-mixed over the history."""
+    z, g = zs[-1], gs[-1]
+    m = len(zs) - 1  # Anderson mixing depth of this step
+    if m > 0:
+        F = np.stack([(gs[-i] - zs[-i]) - (gs[-i - 1] - zs[-i - 1])
+                      for i in range(1, m + 1)], axis=1)
+        dZ = np.stack([zs[-i] - zs[-i - 1] for i in range(1, m + 1)], axis=1)
+        dG = np.stack([gs[-i] - gs[-i - 1] for i in range(1, m + 1)], axis=1)
+        gamma, *_ = np.linalg.lstsq(F, g - z, rcond=None)
+        z, g = z - dZ @ gamma, g - dG @ gamma
+    elif damping == 1.0:
+        return g
+    return (1.0 - damping) * z + damping * g
+
+
 def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     """Iterate s <- (1 - damping) s + damping T(s) until ||T(s) - s||_X <= tol.
 
@@ -169,7 +186,7 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     s = _start_pair(p, plan.u.mesh, plan.v.mesh, sc.initial_guess)
     history = []
     best, best_res, best_report = None, math.inf, None
-    # Anderson history of iterates / operator images, newest last
+    # flat iterates / operator images, newest last; depth 0 keeps one pair
     zs, gs = deque(maxlen=sc.anderson_depth + 1), deque(maxlen=sc.anderson_depth + 1)
 
     for it in range(1, sc.max_iter + 1):
@@ -178,31 +195,15 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
         except EvaluationError as exc:
             exc.location["iteration"] = it
             raise
-        res = norm_X(pair_lincomb(1.0, Ts, -1.0, s))
+        zs.append(_flatten(s))
+        gs.append(_flatten(Ts))
+        res = norm_X(_unflatten(gs[-1] - zs[-1], s))
         history.append(res)
         if res < best_res:
             best, best_res, best_report = s, res, report
         if res <= sc.tol:
             break
-
-        if sc.anderson_depth > 0:
-            zs.append(_flatten(s))
-            gs.append(_flatten(Ts))
-        m = len(zs) - 1  # Anderson mixing depth of this step
-        if m > 0:
-            z, g = zs[-1], gs[-1]
-            F = np.stack([(gs[-i] - zs[-i]) - (gs[-i - 1] - zs[-i - 1])
-                          for i in range(1, m + 1)], axis=1)
-            dZ = np.stack([zs[-i] - zs[-i - 1] for i in range(1, m + 1)], axis=1)
-            dG = np.stack([gs[-i] - gs[-i - 1] for i in range(1, m + 1)], axis=1)
-            gamma, *_ = np.linalg.lstsq(F, g - z, rcond=None)
-            lam = sc.damping
-            z_next = (1.0 - lam) * (z - dZ @ gamma) + lam * (g - dG @ gamma)
-            s = _unflatten(z_next, s)
-        elif sc.damping == 1.0:
-            s = Ts
-        else:
-            s = pair_lincomb(1.0 - sc.damping, s, sc.damping, Ts)
+        s = _unflatten(_mix(zs, gs, sc.damping), s)
 
     return best, SolveDiagnostics(iterations=len(history), residual_history=history,
                                   converged=best_res <= sc.tol, truncation=best_report,
@@ -248,8 +249,7 @@ def _jump_residuals(x, m0, m1):
     if pts.size == 0:
         return 0.0, 0.0, 0.0
     a, b = x.left_limits_at(pts)
-    want0 = np.atleast_1d(m0(pts, a, b))
-    want1 = np.atleast_1d(m1(pts, a, b))
+    want0, want1 = m0(pts, a, b), m1(pts, a, b)
     hi = x.mesh.right_slot[x.mesh.doubled_nodes()]
     dv = x.values[hi] - a
     dd = x.derivs[hi] - b

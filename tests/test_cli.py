@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,60 @@ def test_solve_pendulum_deterministic_exit(tmp_path):
     da = (outs[0] / "diagnostics.json").read_bytes()
     db = (outs[1] / "diagnostics.json").read_bytes()
     assert da == db
+
+
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+
+
+@pytest.mark.parametrize("component,huge", [("T2", "h"), ("T1", "f")])
+def test_overflowing_image_fails_on_the_error_line(component, huge, tmp_path):
+    # the cumulative moments of a 1e306 right-hand side overflow, so the
+    # first image is not finite: an evaluation error on one line, with no
+    # residual, traceback or numpy warning
+    rhs = {"f": {"name": "zero"}, "h": {"name": "zero"}}
+    rhs[huge] = {"name": "constant", "params": {"value": 1e306}}
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps({"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
+                                "rhs": rhs}))
+    res = run_cli("solve", str(prob), "--out-dir", str(tmp_path / "o"))
+    assert res.returncode == 1, res.stdout + res.stderr
+    err = res.stderr.splitlines()
+    assert len(err) == 1, res.stderr
+    assert err[0].startswith(f"error: {component} returned a non-finite value at s=")
+    assert err[0].endswith(" in iteration 1")
+
+
+def test_solve_pendulum_with_anderson_mixing(tmp_path):
+    from impulsebvp.operator import QuadratureConfig
+    from impulsebvp.problemfile import load_problem_file
+    from impulsebvp.solver import SolverConfig, solve
+    out = tmp_path / "out"
+    res = run_cli("solve", str(DEMO_PROBLEMS / "pendulum.json"), "--t0", "4",
+                  "--anderson", "3", "--out-dir", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solver_config"]["anderson_depth"] == 3
+    diag = json.loads((out / "diagnostics.json").read_text())["solve"]
+    assert diag["converged"] is True and diag["iterations"] == 8  # Picard takes 32
+    p = dataclasses.replace(load_problem_file(DEMO_PROBLEMS / "pendulum.json"), t0=4.0)
+    _, want = solve(p, SolverConfig(anderson_depth=3), QuadratureConfig())
+    assert diag["residual_history"] == want.residual_history
+
+
+def test_study_manufactured_mesh_levels(tmp_path):
+    out = tmp_path / "out"
+    res = run_cli("study", str(DEMO_PROBLEMS / "manufactured.json"), "--out-dir", str(out),
+                  "--mesh-levels", "0.04,0.02,0.01")
+    assert res.returncode == 0, res.stdout + res.stderr
+    with open(out / "study.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["mesh_spacing"]) for r in rows] == [0.04, 0.02, 0.01]
+    assert all(r["converged"] == "True" for r in rows)
+    assert rows[0]["diff_to_prev"] == ""
+    assert all(float(r["diff_to_prev"]) <= 1e-13 for r in rows[1:])
+    # the collocation residual is O(h^2): halving h divides it by about 4
+    ode = [float(r["ode_residual"]) for r in rows]
+    assert all(3.5 <= a / b <= 4.5 for a, b in zip(ode, ode[1:]))
 
 
 def test_solve_invalid_file_exit_one(tmp_path):

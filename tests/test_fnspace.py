@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,24 @@ def test_difference_norm_restricts_to_common_domain():
     assert difference_norm(a, b) == pytest.approx(0.0, abs=1e-12)
     c = SolutionPair(u=constant_fn(m_long, 1.5, 2.0), v=constant_fn(m_long))
     assert difference_norm(a, c) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("comp", ["u", "v"])
+@pytest.mark.parametrize("where", ["values", "derivs", "tail_slope"])
+def test_a_nan_anywhere_makes_the_norms_nan(comp, where):
+    # the other component is 1 everywhere, so a dropped NaN would read 1.0
+    m = build_mesh(0.0, 10.0, [1.0, 4.5], spacing=0.5)
+    clean = SolutionPair(u=constant_fn(m, 1.0), v=constant_fn(m, 1.0))
+    x = getattr(clean, comp)
+    if where == "tail_slope":
+        bad = replace(x, tail_slope=math.nan)
+    else:
+        data = getattr(x, where).copy()
+        data[7] = math.nan
+        bad = replace(x, **{where: data})
+    s = replace(clean, **{comp: bad})
+    assert math.isnan(norm_X(s))
+    assert math.isnan(difference_norm(s, clean))
 
 
 def _build_mesh_loop(t0, horizon, impulse_times=(), spacing=0.01):
