@@ -6,7 +6,8 @@ functions Phi_rho, Psi_rho on every weighted state ball of radius rho,
 rho2 such that the operator maps a norm ball into the rho2-ball.  None of
 these are decidable exactly for black-box callables, so this module audits
 them by seeded random sampling plus truncated sums/integrals with explicit
-tail accounting.
+tail accounting.  The bounds themselves are problem data
+(``model.CaratheodoryBounds``, re-exported here).
 
 On the rho/rho2 coupling: the bound chain proves that the image of the
 rho-ball lies in the rho2-ball computed *from the bounds at rho*.  A
@@ -21,14 +22,14 @@ at rho2) probes the literal self-mapping.
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .fnspace import (PiecewiseC1Function, SolutionPair, _require_domain, _require_positive,
                       norm_deriv_sup, norm_weighted_sup, norm_X)
 from .kernel import boundary_weight_sup, kernel_weight_sup
-from .model import ImpulsiveCoupledBVP
+from .model import CaratheodoryBounds, ImpulsiveCoupledBVP
 from .operator import (OperatorPlan, QuadratureConfig, _gauss_panels, apply_T,
                        problem_meshes)
 
@@ -43,47 +44,6 @@ __all__ = [
     "sample_ball_pair",
     "run_audit",
 ]
-
-
-@dataclass(frozen=True)
-class CaratheodoryBounds:
-    """User-supplied dominating functions and sequences.
-
-    ``Phi``/``Psi`` map (rho, t) to the dominators of |f| and |h| on the
-    rho-ball; the four ``*_seq`` callables map (rho, k) to the summable
-    impulse-bound sequences.  Optional closed-form tails sharpen the
-    truncation accounting: ``tail_integral_*`` bound the integral past t,
-    ``seq_tail_*`` bound the sequence sums past K.  ``u_floor`` restricts
-    the admissible first state component from below (the pendulum's Psi
-    presumes the spring length stays above its minimum), and is honored by
-    the domination sampler and the ball sampler.
-    """
-
-    Phi: Callable[[float, np.ndarray], np.ndarray]
-    Psi: Callable[[float, np.ndarray], np.ndarray]
-    phi_seq: Callable[[float, np.ndarray], np.ndarray]
-    psi_seq: Callable[[float, np.ndarray], np.ndarray]
-    phij_seq: Callable[[float, np.ndarray], np.ndarray]
-    thetaj_seq: Callable[[float, np.ndarray], np.ndarray]
-    tail_integral_f: Optional[Callable[[float, float], float]] = None
-    tail_integral_h: Optional[Callable[[float, float], float]] = None
-    seq_tail_phi: Optional[Callable[[float, int], float]] = None
-    seq_tail_psi: Optional[Callable[[float, int], float]] = None
-    seq_tail_phij: Optional[Callable[[float, int], float]] = None
-    seq_tail_theta: Optional[Callable[[float, int], float]] = None
-    u_floor: Optional[float] = None
-
-    @staticmethod
-    def zero():
-        z2 = lambda rho, t: np.zeros_like(np.asarray(t, dtype=float))
-        return CaratheodoryBounds(Phi=z2, Psi=z2, phi_seq=z2, psi_seq=z2,
-                                  phij_seq=z2, thetaj_seq=z2,
-                                  tail_integral_f=lambda rho, t: 0.0,
-                                  tail_integral_h=lambda rho, t: 0.0,
-                                  seq_tail_phi=lambda rho, K: 0.0,
-                                  seq_tail_psi=lambda rho, K: 0.0,
-                                  seq_tail_phij=lambda rho, K: 0.0,
-                                  seq_tail_theta=lambda rho, K: 0.0)
 
 
 @dataclass

@@ -209,9 +209,9 @@ def cmd_solve(args):
     if not _valid(p, args.horizon, args.seed):
         return 1
     sc = _solver_config(args)
-    out = _out_dir(args)
     pair, diag = solve(p, sc, qc)
     residuals = verify_residuals(p, pair)
+    out = _out_dir(args)  # only once there is something to write
     _write_manifest(out, args, qc=qc, sc=sc)
     _write_solution(out, pair, gnuplot_script=args.gnuplot_script)
     with open(out / "diagnostics.json", "w") as fh:

@@ -13,11 +13,11 @@ def green(t, s):
     """Evaluate the kernel G(t, s) = -t for t <= s, -s for s <= t.
 
     Accepts scalars or broadcastable arrays.  Both arguments must be >= 0;
-    negative inputs raise ``ValueError``.
+    negative or NaN inputs raise ``ValueError``.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(t < 0.0) or np.any(s < 0.0):
+    if not (np.all(t >= 0.0) and np.all(s >= 0.0)):
         raise ValueError("green(t, s) requires t >= 0 and s >= 0")
     out = np.where(t <= s, -t, -s)
     if out.ndim == 0:
@@ -32,7 +32,7 @@ def kernel_weight_sup(s):
     above s the ratio s/(1+t) decreases.  The result lies in [0, 1).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):
         raise ValueError("kernel_weight_sup requires s >= 0")
     out = s / (1.0 + s)
     if out.ndim == 0:

@@ -4,8 +4,10 @@ The data here describes the equations ``u'' = f(t,u,v,u',v')``,
 ``v'' = h(t,u,v,u',v')``, the boundary values ``u(0)=A1``, ``v(0)=A2``,
 ``u'(+inf)=B1``, ``v'(+inf)=B2``, and jump conditions at two strictly
 increasing unbounded schedules of impulse times, with jump sizes produced
-by maps of the left limits.  Nothing in this module knows about meshes or
-solution methods.
+by maps of the left limits.  The theorem's remaining hypotheses are
+problem data too: ``CaratheodoryBounds`` holds the dominators of f and h,
+the summable impulse-bound sequences and their closed-form tails.  Nothing
+in this module knows about meshes or solution methods.
 
 Everything is immutable after construction; the callables are expected to
 be pure and get read-only arguments, so concurrent evaluation is safe.
@@ -21,6 +23,7 @@ import numpy as np
 from .fnspace import _require_domain
 
 __all__ = [
+    "CaratheodoryBounds",
     "RhsFunction",
     "BoundaryData",
     "ImpulseSchedule",
@@ -111,7 +114,7 @@ class BoundaryData:
 class ImpulseSchedule:
     """Strictly increasing impulse times diverging to +inf.
 
-    Either an explicit finite tuple ``points`` or a ``rule`` mapping the
+    Exactly one of an explicit finite tuple ``points`` and a ``rule`` mapping the
     1-based index k to the k-th time.  Infinite schedules are enumerated
     lazily below any finite horizon.  The enumeration stops with a
     ValueError naming the index and value at the first rule value that does
@@ -123,6 +126,8 @@ class ImpulseSchedule:
     rule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
+        if (self.points is None) == (self.rule is None):
+            raise ValueError("an impulse schedule takes exactly one of points and rule")
         if self.points is not None:
             pts = tuple(float(p) for p in self.points)
             bad = [i for i, p in enumerate(pts) if not math.isfinite(p)]
@@ -147,8 +152,6 @@ class ImpulseSchedule:
             if k > len(self.points):
                 raise IndexError(f"schedule has only {len(self.points)} points")
             return self.points[k - 1]
-        if self.rule is None:
-            raise ValueError("schedule has neither points nor a rule")
         return float(self.rule(k))
 
     def points_below(self, horizon: float) -> np.ndarray:
@@ -193,6 +196,56 @@ class ImpulseMap:
         return ImpulseMap(fn=lambda p, a, b: np.zeros_like(p), name="zero")
 
 
+# each dominator field of CaratheodoryBounds, with the field of its tail
+_BOUND_TAILS = {"Phi": "tail_integral_f", "Psi": "tail_integral_h",
+                "phi_seq": "seq_tail_phi", "psi_seq": "seq_tail_psi",
+                "phij_seq": "seq_tail_phij", "thetaj_seq": "seq_tail_theta"}
+
+
+@dataclass(frozen=True)
+class CaratheodoryBounds:
+    """User-supplied dominating functions and sequences.
+
+    ``Phi``/``Psi`` map (rho, t) to the dominators of |f| and |h| on the
+    rho-ball; the four ``*_seq`` callables map (rho, k) to the summable
+    impulse-bound sequences.  Optional closed-form tails sharpen the
+    truncation accounting: ``tail_integral_*`` bound the integral past t,
+    ``seq_tail_*`` bound the sequence sums past K.  ``u_floor`` restricts
+    the admissible first state component from below (the pendulum's Psi
+    presumes the spring length stays above its minimum), and is honored by
+    the domination sampler and the ball sampler.
+    """
+
+    Phi: Callable[[float, np.ndarray], np.ndarray]
+    Psi: Callable[[float, np.ndarray], np.ndarray]
+    phi_seq: Callable[[float, np.ndarray], np.ndarray]
+    psi_seq: Callable[[float, np.ndarray], np.ndarray]
+    phij_seq: Callable[[float, np.ndarray], np.ndarray]
+    thetaj_seq: Callable[[float, np.ndarray], np.ndarray]
+    tail_integral_f: Optional[Callable[[float, float], float]] = None
+    tail_integral_h: Optional[Callable[[float, float], float]] = None
+    seq_tail_phi: Optional[Callable[[float, int], float]] = None
+    seq_tail_psi: Optional[Callable[[float, int], float]] = None
+    seq_tail_phij: Optional[Callable[[float, int], float]] = None
+    seq_tail_theta: Optional[Callable[[float, int], float]] = None
+    u_floor: Optional[float] = None
+
+    @staticmethod
+    def from_pairs(pairs, u_floor=None):
+        """Bounds from ``pairs``: each dominator field of ``_BOUND_TAILS`` to
+        (dominator, tail or None)."""
+        fields = {}
+        for dom, tail in _BOUND_TAILS.items():
+            fields[dom], fields[tail] = pairs[dom]
+        return CaratheodoryBounds(**fields, u_floor=u_floor)
+
+    @staticmethod
+    def zero():
+        z2 = lambda rho, t: np.zeros_like(np.asarray(t, dtype=float))
+        return CaratheodoryBounds.from_pairs(
+            {dom: (z2, lambda rho, t: 0.0) for dom in _BOUND_TAILS})
+
+
 @dataclass(frozen=True)
 class ImpulsiveCoupledBVP:
     """The full problem statement, independent of any solution method.
@@ -213,7 +266,7 @@ class ImpulsiveCoupledBVP:
     J0: ImpulseMap
     J1: ImpulseMap
     t0: float = 0.0
-    bounds: Optional["CaratheodoryBounds"] = None  # noqa: F821  (audit module)
+    bounds: Optional[CaratheodoryBounds] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and self.t0 >= 0.0):

@@ -97,17 +97,24 @@ __all__ = [
 
 class EvaluationError(RuntimeError):
     """A right-hand side, an impulse map or an operator component (T1, T2)
-    gave a non-finite value; carries the location.
+    gave a non-finite value; carries the location.  ``args`` are the
+    values named by ``labels``, (u, v, u', v') by default; an impulse-map
+    error gives the component's left limits and both jumps, and names the
+    failing map (``map_name``, also ``location["map"]``).
 
     ``solve`` adds the failing iteration to ``location`` after the error is
     raised, and the message names it from then on."""
 
-    def __init__(self, name, s, args):
+    def __init__(self, name, s, args, labels="x,y,z,w", map_name=None):
         self.location = {"rhs": name, "s": float(s),
                          "args": tuple(float(a) for a in args)}
+        source = ""
+        if map_name is not None:
+            self.location["map"] = map_name
+            source = f"from {map_name} "
         super().__init__(
-            f"{name} returned a non-finite value at s={s:.6g} with "
-            f"(x,y,z,w)={tuple(round(float(a), 6) for a in args)}"
+            f"{name} returned a non-finite value at s={s:.6g} {source}with "
+            f"({labels})={tuple(round(float(a), 6) for a in args)}"
         )
 
     def __str__(self):
@@ -404,9 +411,10 @@ def _prefix_sums(x):
     return np.concatenate(([0.0], np.cumsum(x)))
 
 
-def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, m0, m1):
+def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, m0, m1, names):
     """Assemble one operator component on the iterate's mesh from the per-panel
-    moments m0, m1 of its right-hand side; overflow is silent, apply_T reports it."""
+    moments m0, m1 of its right-hand side; overflow is silent, apply_T reports it.
+    ``names`` are the component's and its two maps' names, e.g. ("u", "I0", "I1")."""
     mesh = x_self.mesh
     nodes = mesh.nodes
     pts = mesh.impulse_times
@@ -415,8 +423,10 @@ def _component_apply(A, B, m0_map, m1_map, x_self, mp: _MeshPlan, m0, m1):
         c0, c1 = m0_map(pts, a_left, b_left), m1_map(pts, a_left, b_left)
         i = _first_nonfinite(c0, c1)
         if i is not None:
-            raise EvaluationError("impulse map", pts[i],
-                                  (a_left[i], b_left[i], c0[i], c1[i]))
+            x, m0_name, m1_name = names
+            raise EvaluationError("impulse map", pts[i], (a_left[i], b_left[i], c0[i], c1[i]),
+                                  labels=f"{x}(s-),{x}'(s-),{m0_name},{m1_name}",
+                                  map_name=m1_name if np.isfinite(c0[i]) else m0_name)
     else:
         c0 = c1 = np.zeros(0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -483,11 +493,11 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
                 h_error = exc  # raised once f has been checked on every block
 
     out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
-                                       s.u, plan.u, m0f, m1f)
+                                       s.u, plan.u, m0f, m1f, ("u", "I0", "I1"))
     if h_error is not None:
         raise h_error
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
-                                       s.v, plan.v, m0h, m1h)
+                                       s.v, plan.v, m0h, m1h, ("v", "J0", "J1"))
     for name, out in (("T1", out_u), ("T2", out_v)):
         i = _first_nonfinite(out.values, out.derivs)
         if i is not None:

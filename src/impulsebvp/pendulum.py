@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import CaratheodoryBounds
-from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
+from .fnspace import _require_positive
+from .model import (BoundaryData, CaratheodoryBounds, ImpulseMap, ImpulseSchedule,
                     ImpulsiveCoupledBVP, RhsFunction)
 
 __all__ = ["PendulumParams", "build_pendulum_problem",
@@ -48,18 +48,19 @@ class PendulumParams:
     l_min: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.l0 <= 0:
-            raise ValueError("mass and natural length must be positive")
-        if self.k < 0 or self.g < 0:
-            raise ValueError("spring constant and gravity must be >= 0")
-        if self.beta < 3 or self.gamma < 3:
-            raise ValueError("beta and gamma must be >= 3")
+        # every guard is written so that NaN fails it
+        _require_positive(m=self.m, l0=self.l0, l_min=self.l_min)
+        if not (0.0 <= self.k < np.inf and 0.0 <= self.g < np.inf):
+            raise ValueError("spring constant and gravity must be finite and >= 0")
+        if not (3.0 <= self.beta < np.inf and 3.0 <= self.gamma < np.inf):
+            raise ValueError("beta and gamma must be finite and >= 3")
         if not (0.0 <= self.B1 <= np.pi and 0.0 <= self.B2 <= np.pi):
             raise ValueError("B1, B2 must lie in [0, pi]")
-        if len(self.alpha) != 8:
-            raise ValueError("alpha must have eight entries")
-        if self.l_min <= 0:
-            raise ValueError("l_min must be positive")
+        if len(self.alpha) != 8 or not np.all(np.isfinite(self.alpha)):
+            raise ValueError("alpha must have eight finite entries")
+        if not self.t0 > 0.0:
+            raise ValueError("the pendulum right-hand sides contain 1/t^3; "
+                             "pick a working-domain start t0 > 0")
 
 
 def spring_pendulum_f(m=1.0, k=1.0, g=9.8, l0=1.0):
@@ -87,7 +88,7 @@ def pendulum_bound_Phi(pp: PendulumParams, rho, t):
     """Dominator of the length equation on the rho-ball:
     (1/t^3) (rho^2 (1+t) + g + (k/m)(rho (1+t) + l0))."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < pp.t0):
+    if not np.all(t >= pp.t0):
         raise ValueError("bound evaluated below the working domain start")
     return (rho * rho * (1.0 + t) + pp.g
             + (pp.k / pp.m) * (rho * (1.0 + t) + pp.l0)) / t ** 3
@@ -97,8 +98,7 @@ def pendulum_bound_Psi(pp: PendulumParams, rho, t, l_min=None):
     """Dominator of the angle equation, valid while the length stays >= l_min:
     (1/t^3) (g rho (1+t) + 2 rho^3 (1+t)) / l_min^2."""
     l_min = pp.l_min if l_min is None else l_min
-    if l_min <= 0:
-        raise ValueError("l_min must be positive")
+    _require_positive(l_min=l_min)
     t = np.asarray(t, dtype=float)
     return (pp.g * rho + 2.0 * rho ** 3) * (1.0 + t) / (t ** 3 * l_min ** 2)
 
@@ -125,11 +125,6 @@ def _power_seq(ca, cb, power):
 
 
 def _pendulum_bounds(pp: PendulumParams) -> CaratheodoryBounds:
-    phi_seq, phi_tail = _power_seq(pp.alpha[0], pp.alpha[1], 3.0)
-    psi_seq, psi_tail = _power_seq(pp.alpha[2], pp.alpha[3], pp.beta)
-    phij_seq, phij_tail = _power_seq(pp.alpha[4], pp.alpha[5], pp.gamma)
-    theta_seq, theta_tail = _power_seq(pp.alpha[6], pp.alpha[7], 3.0)
-
     def tail_f(rho, t):
         return _affine_tail(rho * rho + rho * pp.k / pp.m,
                             pp.g + pp.k * pp.l0 / pp.m, t)
@@ -137,16 +132,14 @@ def _pendulum_bounds(pp: PendulumParams) -> CaratheodoryBounds:
     def tail_h(rho, t):
         return _affine_tail((pp.g * rho + 2.0 * rho ** 3) / pp.l_min ** 2, 0.0, t)
 
-    return CaratheodoryBounds(
-        Phi=lambda rho, t: pendulum_bound_Phi(pp, rho, t),
-        Psi=lambda rho, t: pendulum_bound_Psi(pp, rho, t),
-        phi_seq=phi_seq, psi_seq=psi_seq,
-        phij_seq=phij_seq, thetaj_seq=theta_seq,
-        tail_integral_f=tail_f, tail_integral_h=tail_h,
-        seq_tail_phi=phi_tail, seq_tail_psi=psi_tail,
-        seq_tail_phij=phij_tail, seq_tail_theta=theta_tail,
-        u_floor=pp.l_min,
-    )
+    return CaratheodoryBounds.from_pairs({
+        "Phi": (lambda rho, t: pendulum_bound_Phi(pp, rho, t), tail_f),
+        "Psi": (lambda rho, t: pendulum_bound_Psi(pp, rho, t), tail_h),
+        "phi_seq": _power_seq(pp.alpha[0], pp.alpha[1], 3.0),
+        "psi_seq": _power_seq(pp.alpha[2], pp.alpha[3], pp.beta),
+        "phij_seq": _power_seq(pp.alpha[4], pp.alpha[5], pp.gamma),
+        "thetaj_seq": _power_seq(pp.alpha[6], pp.alpha[7], 3.0),
+    }, u_floor=pp.l_min)
 
 
 def build_pendulum_problem(pp: PendulumParams) -> ImpulsiveCoupledBVP:
@@ -156,9 +149,6 @@ def build_pendulum_problem(pp: PendulumParams) -> ImpulsiveCoupledBVP:
     schedules are the integers (t_k = k, tau_j = j); since times equal
     indices, the power-decay jump maps read the index off the time.
     """
-    if pp.t0 <= 0.0:
-        raise ValueError("the pendulum right-hand sides contain 1/t^3; "
-                         "pick a working-domain start t0 > 0")
     phys = {"m": pp.m, "k": pp.k, "g": pp.g, "l0": pp.l0}
     a = pp.alpha
     integers = ImpulseSchedule(rule=lambda k: float(k))

@@ -1,10 +1,12 @@
-"""Problem files: a JSON schema plus a registry of named model functions.
+"""Problem files: a JSON schema plus registries of named model functions.
 
 Arbitrary mathematical expressions are deliberately not parsed; right-hand
-sides and impulse maps are selected from the registry below by name plus
-parameters (see docs/problem-format.md for the schema).  Whole instances
-can also be requested through the top-level ``model`` key, e.g.
-``{"model": "spring-pendulum", "params": {...}}``.
+sides, impulse maps, bound families and schedule rules are selected from
+the registries below by name plus parameters (see docs/problem-format.md
+for the schema).  Whole instances can also be requested through the
+top-level ``model`` key, e.g. ``{"model": "spring-pendulum", "params":
+{...}}``.  Every object of a document may hold only the keys of the
+schema, and each error names the path of the object at fault.
 """
 
 import json
@@ -12,16 +14,15 @@ import math
 
 import numpy as np
 
-from .audit import CaratheodoryBounds
 from .manufactured import manufactured_problem
-from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
-                    ImpulsiveCoupledBVP, RhsFunction)
+from .model import (_BOUND_TAILS, BoundaryData, CaratheodoryBounds, ImpulseMap,
+                    ImpulseSchedule, ImpulsiveCoupledBVP, RhsFunction)
 from .pendulum import (PendulumParams, build_pendulum_problem, spring_pendulum_f,
                        spring_pendulum_h)
 
 __all__ = ["load_problem", "load_problem_file", "RHS_REGISTRY",
            "IMPULSE_REGISTRY", "MODEL_REGISTRY", "BOUND_REGISTRY",
-           "SEQ_BOUND_REGISTRY"]
+           "SEQ_BOUND_REGISTRY", "SCHEDULE_REGISTRY"]
 
 
 def _rhs_zero():
@@ -144,63 +145,106 @@ SEQ_BOUND_REGISTRY = {
 }
 
 
+def _rule_integers(step=1.0):
+    step = float(step)
+    return lambda k: k * step
+
+
+def _rule_arithmetic(start, step):
+    start, step = float(start), float(step)
+    return lambda k: start + (k - 1) * step
+
+
+SCHEDULE_REGISTRY = {"integers": _rule_integers, "arithmetic": _rule_arithmetic}
+
+
 def _call(registry, what, name, params, where=""):
     """``registry[name](**params)``; an unknown name, or params the entry does
-    not take, is a KeyError naming ``what`` and the entry."""
-    if name not in registry:
+    not take, is a KeyError naming ``what`` and the entry, and a ValueError
+    of the entry is re-raised naming it too."""
+    if not (isinstance(name, str) and name in registry):
         raise KeyError(f"unknown {what} {name!r}{where}; registry: {sorted(registry)}")
     try:
         return registry[name](**params)
     except TypeError as exc:
         raise KeyError(f"{what} {name!r}{where}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what} {name!r}{where}: {exc}") from exc
 
 
-def _make(cls, registry, what, spec):
-    """``cls`` (RhsFunction or ImpulseMap) of a {"name", "params"} spec; zero if absent."""
+def _object(obj, path, keys=None, required=()):
+    """``obj``, checked to be a JSON object that holds only ``keys`` (any
+    keys when None) and all of ``required``; every error names ``path``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {obj!r}")
+    for key in obj:
+        if keys is not None and key not in keys:
+            raise KeyError(f"{path}: unknown key {key!r}; expected one of {sorted(keys)}")
+    for key in required:
+        if key not in obj:
+            raise KeyError(f"{path}: missing key {key!r}")
+    return obj
+
+
+def _number(value, path):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a number, got {value!r}") from None
+
+
+def _numbers(values, path):
+    """A JSON list of numbers as a tuple of floats; errors name ``path``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: expected a list of numbers, got {values!r}")
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError):  # name the first value float() rejects
+        for i, v in enumerate(values):
+            _number(v, f"{path}[{i}]")
+        raise
+
+
+def _entry(spec, path):
+    """(name, params) of a {"name", "params"} registry entry; zero if absent."""
     if spec is None:
-        spec = {"name": "zero"}
-    name, params = spec["name"], spec.get("params", {})
+        return "zero", {}
+    _object(spec, path, ("name", "params"), required=("name",))
+    return spec["name"], spec.get("params", {})
+
+
+def _make(cls, registry, what, spec, path):
+    """``cls`` (RhsFunction or ImpulseMap) of the registry entry ``spec``."""
+    name, params = _entry(spec, path)
     return cls(_call(registry, what, name, params), name=name)
 
 
 def _make_bounds(spec):
     if spec is None:
         return None
-
-    def pick(key, registry):
-        sub = spec.get(key, {"name": "zero"})
-        return _call(registry, "bound family", sub["name"], sub.get("params", {}),
-                     f" for {key}")
-
-    Phi, tail_f = pick("Phi", BOUND_REGISTRY)
-    Psi, tail_h = pick("Psi", BOUND_REGISTRY)
-    phi_seq, t_phi = pick("phi_seq", SEQ_BOUND_REGISTRY)
-    psi_seq, t_psi = pick("psi_seq", SEQ_BOUND_REGISTRY)
-    phij_seq, t_phij = pick("phij_seq", SEQ_BOUND_REGISTRY)
-    theta_seq, t_theta = pick("thetaj_seq", SEQ_BOUND_REGISTRY)
-    return CaratheodoryBounds(
-        Phi=Phi, Psi=Psi, phi_seq=phi_seq, psi_seq=psi_seq,
-        phij_seq=phij_seq, thetaj_seq=theta_seq,
-        tail_integral_f=tail_f, tail_integral_h=tail_h,
-        seq_tail_phi=t_phi, seq_tail_psi=t_psi,
-        seq_tail_phij=t_phij, seq_tail_theta=t_theta,
-        u_floor=spec.get("u_floor"))
+    _object(spec, "bounds", (*_BOUND_TAILS, "u_floor"))
+    pairs = {key: _call(SEQ_BOUND_REGISTRY if key.endswith("_seq") else BOUND_REGISTRY,
+                        "bound family", *_entry(spec.get(key), f"bounds.{key}"),
+                        f" for {key}")
+             for key in _BOUND_TAILS}
+    u_floor = spec.get("u_floor")
+    return CaratheodoryBounds.from_pairs(
+        pairs, u_floor=None if u_floor is None else _number(u_floor, "bounds.u_floor"))
 
 
-def _make_schedule(spec) -> ImpulseSchedule:
+def _make_schedule(spec, path) -> ImpulseSchedule:
+    """Explicit ``points``, or a ``rule`` with its parameters beside it."""
     if spec is None:
         return ImpulseSchedule.empty()
-    if "points" in spec:
-        return ImpulseSchedule(points=tuple(spec["points"]))
-    rule = spec.get("rule")
-    if rule == "integers":
-        step = float(spec.get("step", 1.0))
-        return ImpulseSchedule(rule=lambda k: k * step)
-    if rule == "arithmetic":
-        start = float(spec["start"])
-        step = float(spec["step"])
-        return ImpulseSchedule(rule=lambda k: start + (k - 1) * step)
-    raise KeyError(f"unknown schedule rule {rule!r}")
+    _object(spec, path)
+    if ("points" in spec) == ("rule" in spec):
+        raise KeyError(f"{path}: takes exactly one of 'points' and 'rule'")
+    if "rule" in spec:
+        params = {k: v for k, v in spec.items() if k != "rule"}
+        return ImpulseSchedule(rule=_call(SCHEDULE_REGISTRY, "schedule rule", spec["rule"],
+                                          params, f" for {path}"))
+    pts = _object(spec, path, ("points",))["points"]
+    return ImpulseSchedule(points=_numbers(pts, f"{path}.points"))
 
 
 def _model_pendulum(**params):
@@ -216,37 +260,35 @@ MODEL_REGISTRY = {
 
 
 def load_problem(doc) -> ImpulsiveCoupledBVP:
-    """Build a problem from a parsed JSON document (a dict)."""
-    if "model" in doc:
+    """Build a problem from a parsed JSON document (a dict).  Every object
+    may hold only the keys of the format; each error names its path."""
+    if isinstance(doc, dict) and "model" in doc:
+        _object(doc, "top level", ("model", "params"))
         return _call(MODEL_REGISTRY, "model", doc["model"], doc.get("params", {}))
 
-    bd = doc.get("boundary")
-    if bd is None:
-        raise KeyError("problem file needs a 'boundary' object (A1, A2, B1, B2)")
-    boundary = BoundaryData(A1=float(bd["A1"]), A2=float(bd["A2"]),
-                            B1=float(bd["B1"]), B2=float(bd["B2"]))
-    rhs = doc.get("rhs", {})
-    imp = doc.get("impulses", {})
-    u_spec = imp.get("u", {})
-    v_spec = imp.get("v", {})
+    _object(doc, "top level", ("t0", "boundary", "rhs", "impulses", "bounds"),
+            required=("boundary",))
+    keys = ("A1", "A2", "B1", "B2")
+    bd = _object(doc["boundary"], "boundary", keys, required=keys)
+    rhs = _object(doc.get("rhs", {}), "rhs", ("f", "h"))
+    imp = _object(doc.get("impulses", {}), "impulses", ("u", "v"))
+    u_spec = _object(imp.get("u", {}), "impulses.u", ("schedule", "I0", "I1"))
+    v_spec = _object(imp.get("v", {}), "impulses.v", ("schedule", "J0", "J1"))
     return ImpulsiveCoupledBVP(
-        f=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("f")),
-        h=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("h")),
-        boundary=boundary,
-        u_schedule=_make_schedule(u_spec.get("schedule")),
-        v_schedule=_make_schedule(v_spec.get("schedule")),
-        I0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I0")),
-        I1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I1")),
-        J0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J0")),
-        J1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J1")),
-        t0=float(doc.get("t0", 0.0)),
+        f=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("f"), "rhs.f"),
+        h=_make(RhsFunction, RHS_REGISTRY, "rhs", rhs.get("h"), "rhs.h"),
+        boundary=BoundaryData(**{k: _number(bd[k], f"boundary.{k}") for k in keys}),
+        u_schedule=_make_schedule(u_spec.get("schedule"), "impulses.u.schedule"),
+        v_schedule=_make_schedule(v_spec.get("schedule"), "impulses.v.schedule"),
+        I0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I0"), "impulses.u.I0"),
+        I1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", u_spec.get("I1"), "impulses.u.I1"),
+        J0=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J0"), "impulses.v.J0"),
+        J1=_make(ImpulseMap, IMPULSE_REGISTRY, "impulse map", v_spec.get("J1"), "impulses.v.J1"),
+        t0=_number(doc.get("t0", 0.0), "t0"),
         bounds=_make_bounds(doc.get("bounds")),
     )
 
 
 def load_problem_file(path) -> ImpulsiveCoupledBVP:
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object at the top level")
-    return load_problem(doc)
+        return load_problem(json.load(fh))

@@ -601,3 +601,14 @@ def test_manifest_records_the_environment(zero_file, tmp_path):
     assert env["numpy"] == np.__version__
     assert env["platform"].startswith(platform.system() + "-")
     assert env["platform"].endswith("-" + platform.machine())
+
+
+def test_an_evaluation_error_leaves_no_output_directory(tmp_path, capsys):
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps({"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
+                                "rhs": {"f": {"name": "zero"},
+                                        "h": {"name": "constant", "params": {"value": 1e306}}}}))
+    out = tmp_path / "new" / "out"
+    assert _run_main(["solve", str(prob), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: T2 returned a non-finite value")
+    assert not (tmp_path / "new").exists()

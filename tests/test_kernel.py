@@ -91,3 +91,13 @@ def test_kernel_integral_identity_oracle():
             s = mid + half * xg
             total += float(np.sum(half * wg * green(t, s) * np.exp(-s)))
         assert total == pytest.approx(-(1.0 - np.exp(-t)), abs=1e-10)
+
+
+@pytest.mark.parametrize("call", [lambda: green(np.nan, 1.0), lambda: green(1.0, np.nan),
+                                  lambda: green(np.array([0.5, np.nan]), 1.0),
+                                  lambda: kernel_weight_sup(np.nan),
+                                  lambda: kernel_weight_sup(np.array([1.0, np.nan]))],
+                         ids=["green-t", "green-s", "green-array", "weight", "weight-array"])
+def test_nan_arguments_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()

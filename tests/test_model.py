@@ -242,3 +242,21 @@ def test_functions_that_write_into_arguments_run_point_by_point():
     t, x = np.array([1.0, 2.0]), np.array([10.0, 20.0])
     assert RhsFunction(scale_t)(t, x, 0.0, 0.0, 0.0).tolist() == [12.0, 24.0]
     assert t.tolist() == [1.0, 2.0] and x.tolist() == [10.0, 20.0]
+
+
+@pytest.mark.parametrize("kw", [{}, {"points": (1.0,), "rule": lambda k: float(k)}],
+                         ids=["neither", "both"])
+def test_schedule_takes_exactly_one_of_points_and_rule(kw):
+    with pytest.raises(ValueError, match="exactly one of points and rule"):
+        ImpulseSchedule(**kw)
+
+
+def test_bounds_are_problem_data_reexported_by_the_audit():
+    from impulsebvp import CaratheodoryBounds as exported
+    from impulsebvp import audit, model
+    assert audit.CaratheodoryBounds is model.CaratheodoryBounds is exported
+    b = model.CaratheodoryBounds.zero()
+    for dom, tail in model._BOUND_TAILS.items():
+        assert np.array_equal(getattr(b, dom)(2.0, np.arange(3.0)), np.zeros(3))
+        assert getattr(b, tail)(2.0, 5.0) == 0.0
+    assert b.u_floor is None

@@ -807,3 +807,26 @@ def test_nonfinite_impulse_map_value_names_the_map_and_its_time():
     assert exc.value.location["s"] == 2.0
     with pytest.raises(EvaluationError, match=r"at s=2 .* in iteration 1$"):
         solve(p, SolverConfig(), qc)
+
+
+def test_semiinfinite_integral_rejects_a_nan_time():
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
+    with pytest.raises(ValueError):
+        semiinfinite_integral(lambda s: np.exp(-s), np.nan, qc)
+
+
+@pytest.mark.parametrize("bad,named", [(("I0",), "I0"), (("I1",), "I1"), (("J0",), "J0"),
+                                       (("J1",), "J1"), (("J0", "J1"), "J0")],
+                         ids=["I0", "I1", "J0", "J1", "J0-and-J1"])
+def test_nonfinite_impulse_map_error_names_the_map(bad, named):
+    nan_at_2 = ImpulseMap(lambda pp, a, b: np.where(pp == 2.0, np.nan, 0.0))
+    qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
+    p = make_problem(boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.0, 3.0),
+                     v_points=(1.0, 2.0, 3.0), **{m: nan_at_2 for m in bad})
+    x = "u" if named.startswith("I") else "v"
+    maps = "I0,I1" if x == "u" else "J0,J1"
+    with pytest.raises(EvaluationError, match=rf"^impulse map returned a non-finite value at "
+                                              rf"s=2 from {named} with \({x}\(s-\),"
+                                              rf"{x}'\(s-\),{maps}\)=") as exc:
+        apply_T(p, initial_pair(p, qc), qc)
+    assert exc.value.location["map"] == named

@@ -118,3 +118,17 @@ def test_negative_alpha_still_dominated():
         a = rng.uniform(-rho * (1 + k), rho * (1 + k))
         bb = rng.uniform(-rho, rho, k.size)
         assert np.all(np.abs(m(k, a, bb)) <= seq(rho, k) + 1e-12)
+
+
+@pytest.mark.parametrize("field", ["m", "l0", "k", "g", "beta", "gamma", "l_min", "t0",
+                                   "alpha"])
+def test_nan_params_are_rejected(field):
+    value = (0.1,) * 7 + (np.nan,) if field == "alpha" else np.nan
+    with pytest.raises(ValueError):
+        PendulumParams(**{field: value})
+
+
+def test_nan_l_min_in_a_problem_file_names_l_min():
+    from impulsebvp.problemfile import load_problem
+    with pytest.raises(ValueError, match=r"^model 'spring-pendulum': l_min must be "):
+        load_problem({"model": "spring-pendulum", "params": {"l_min": np.nan}})

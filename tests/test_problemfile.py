@@ -1,12 +1,14 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from impulsebvp.problemfile import (IMPULSE_REGISTRY, MODEL_REGISTRY,
-                                    RHS_REGISTRY, load_problem,
+                                    RHS_REGISTRY, SCHEDULE_REGISTRY, load_problem,
                                     load_problem_file)
 
 
@@ -140,3 +142,79 @@ def test_pendulum_rhs_registry_entries_are_the_pendulum_model():
                           model.f(*args))
     assert np.array_equal(RHS_REGISTRY["spring_pendulum_h"](**params)(*args),
                           model.h(*args))
+
+
+def test_schedule_rules_are_registry_entries():
+    assert set(SCHEDULE_REGISTRY) == {"integers", "arithmetic"}
+    p = load_problem({"boundary": _BOUNDARY, "impulses": {
+        "u": {"schedule": {"rule": "arithmetic", "start": 0.5, "step": 2}},
+        "v": {"schedule": {"rule": "integers"}}}})
+    assert list(p.u_schedule.points_below(5.0)) == [0.5, 2.5, 4.5]
+    assert list(p.v_schedule.points_below(3.5)) == [1.0, 2.0, 3.0]
+
+
+_B = {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0}
+# each document breaks the format in one place; the pattern is its one error line
+MALFORMED = {
+    "top-key": ({"boundary": _B, "rsh": {}}, r"top level: unknown key 'rsh'; expected one of "),
+    "entry-key": ({"boundary": _B, "rhs": {"f": {"name": "constant", "parms": {"value": 5}}}},
+                  r"rhs\.f: unknown key 'parms'; expected one of \['name', 'params'\]$"),
+    "impulses-key": ({"boundary": _B, "impulses": {"w": {}}},
+                     r"impulses: unknown key 'w'; expected one of \['u', 'v'\]$"),
+    "model-key": ({"model": "spring-pendulum", "parms": {"t0": 4}},
+                  r"top level: unknown key 'parms'; expected one of \['model', 'params'\]$"),
+    "bounds-key": ({"boundary": _B, "bounds": {"Phii": {"name": "zero"}}},
+                   r"bounds: unknown key 'Phii'; expected one of "),
+    "missing-A2": ({"boundary": {"A1": 1.0, "B1": 0.5, "B2": 0.0}},
+                   r"boundary: missing key 'A2'$"),
+    "missing-name": ({"boundary": _B, "rhs": {"f": {"params": {}}}},
+                     r"rhs\.f: missing key 'name'$"),
+    "t0-string": ({"boundary": _B, "t0": "x"}, r"t0: expected a number, got 'x'$"),
+    "entry-string": ({"boundary": _B, "rhs": {"f": "exp_decay"}},
+                     r"rhs\.f: expected a JSON object, got 'exp_decay'$"),
+    "boundary-list": ({"boundary": [1, 0, 0.5, 0]}, r"boundary: expected a JSON object, "),
+    "points-number": ({"boundary": _B, "impulses": {"u": {"schedule": {"points": 5}}}},
+                      r"impulses\.u\.schedule\.points: expected a list of numbers, got 5$"),
+    "point-string": ({"boundary": _B, "impulses": {"u": {"schedule": {"points": [1, "x"]}}}},
+                     r"impulses\.u\.schedule\.points\[1\]: expected a number, got 'x'$"),
+    "points-and-rule": ({"boundary": _B, "impulses": {"u": {"schedule": {
+        "points": [1.0], "rule": "integers"}}}},
+        r"impulses\.u\.schedule: takes exactly one of 'points' and 'rule'$"),
+    "rule-param": ({"boundary": _B, "impulses": {"v": {"schedule": {
+        "rule": "integers", "stepp": 2}}}},
+        r"schedule rule 'integers' for impulses\.v\.schedule: .*unexpected keyword "
+        r"argument 'stepp'$"),
+    "rule-missing-param": ({"boundary": _B, "impulses": {"u": {"schedule": {
+        "rule": "arithmetic", "step": 1}}}},
+        r"schedule rule 'arithmetic' for impulses\.u\.schedule: .*'start'$"),
+    "rule-bad-param": ({"boundary": _B, "impulses": {"u": {"schedule": {
+        "rule": "integers", "step": "x"}}}},
+        r"schedule rule 'integers' for impulses\.u\.schedule: could not convert "),
+    "rule-unknown": ({"boundary": _B, "impulses": {"u": {"schedule": {"rule": "nope"}}}},
+                     r"unknown schedule rule 'nope' for impulses\.u\.schedule; "
+                     r"registry: \['arithmetic', 'integers'\]$"),
+}
+
+
+@pytest.mark.parametrize("doc,pattern", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_fail_on_one_error_line_naming_the_path(doc, pattern, tmp_path,
+                                                                    capsys):
+    from impulsebvp import cli
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", str(prob), "--horizon", "5", "--mesh-spacing", "0.1",
+                  "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match("error: " + pattern, err[0]), err
+
+
+def test_the_documented_examples_load():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "problem-format.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", doc, flags=re.S)
+    assert len(examples) == 2
+    named, explicit = (load_problem(json.loads(e)) for e in examples)
+    assert named.bounds is not None and named.t0 == 1.0
+    assert list(explicit.v_schedule.points_below(3.5)) == [1.0, 2.0, 3.0]
+    assert explicit.bounds.u_floor is None

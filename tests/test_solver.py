@@ -454,3 +454,17 @@ def test_shared_verifier_pass_matches_the_two_pass_integrals():
         int_f, int_h = _plain_rhs_integrals(prob, s)
         assert int_f == _plain_rhs_integral_two_pass(prob.f, s)
         assert int_h == _plain_rhs_integral_two_pass(prob.h, s)
+
+
+@pytest.mark.parametrize("horizon", [10.0, 40.0, 160.0])
+def test_truncated_solution_matches_its_closed_form(horizon):
+    # x'' = 2/(1+t)^3, x(0) = A, x'(H) = B: x = A + (B + (1+H)^-2) t + 1/(1+t) - 1
+    g = RhsFunction(lambda t, x, y, z, w: 2.0 / (1.0 + t) ** 3, name="cubic-decay")
+    p = simple_problem(f=g, h=g, boundary=(1.0, 0.0, 0.5, 1.0))
+    pair, diag = solve(p, SolverConfig(tol=1e-13), QuadratureConfig(horizon=horizon))
+    assert diag.converged
+    t = np.array([0.5, 3.0, 9.5])
+    for x, A, B in ((pair.u, 1.0, 0.5), (pair.v, 0.0, 1.0)):
+        slope = B + (1.0 + horizon) ** -2
+        assert np.max(np.abs(x(t) - (A + slope * t + 1.0 / (1.0 + t) - 1.0))) <= 1e-12
+        assert np.max(np.abs(x.deriv(t) - (slope - (1.0 + t) ** -2))) <= 1e-12
