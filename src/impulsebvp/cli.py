@@ -104,29 +104,20 @@ def _out_dir(args):
     return path
 
 
-def _load(args):
-    """The problem file, with ``--t0`` applied."""
+def _problem(args, horizon):
+    """The problem file with ``--t0`` applied, validated up to ``horizon``;
+    None, with the failed checks printed to stderr, if a check fails."""
     p = load_problem_file(args.problem)
     if args.t0 is not None:
         p = dataclasses.replace(p, t0=args.t0)
-    return p
-
-
-def _resolve(args):
-    qc = QuadratureConfig(horizon=args.horizon, mesh_spacing=args.mesh_spacing)
-    return _load(args), qc
-
-
-def _valid(p, horizon, seed):
-    """Run validate_problem up to the horizon; print the failed checks to
-    stderr and return False if any fails."""
-    report = validate_problem(p, horizon, seed=seed)
-    if not report.passed:
-        print("problem validation failed:", file=sys.stderr)
-        for c in report.checks:
-            if not c["passed"]:
-                print(f"  {c['name']}: {c['details']}", file=sys.stderr)
-    return report.passed
+    report = validate_problem(p, horizon, seed=args.seed)
+    if report.passed:
+        return p
+    print("problem validation failed:", file=sys.stderr)
+    for c in report.checks:
+        if not c["passed"]:
+            print(f"  {c['name']}: {c['details']}", file=sys.stderr)
+    return None
 
 
 def _environment():
@@ -205,10 +196,11 @@ def _write_solution(out, pair, gnuplot_script=False):
 
 
 def cmd_solve(args):
-    p, qc = _resolve(args)
-    if not _valid(p, args.horizon, args.seed):
-        return 1
+    qc = QuadratureConfig(horizon=args.horizon, mesh_spacing=args.mesh_spacing)
     sc = _solver_config(args)
+    p = _problem(args, qc.horizon)
+    if p is None:
+        return 1
     pair, diag = solve(p, sc, qc)
     residuals = verify_residuals(p, pair)
     out = _out_dir(args)  # only once there is something to write
@@ -225,7 +217,10 @@ def cmd_solve(args):
 
 
 def cmd_check(args):
-    p, qc = _resolve(args)
+    qc = QuadratureConfig(horizon=args.horizon, mesh_spacing=args.mesh_spacing)
+    p = _problem(args, qc.horizon)
+    if p is None:
+        return 1
     if p.bounds is None:
         raise ValueError("the problem carries no Caratheodory bounds "
                          "(field 'bounds'); the audit needs Phi/Psi and the four "
@@ -262,8 +257,8 @@ def _study_levels(args):
 def cmd_study(args):
     levels = _study_levels(args)
     sc = _solver_config(args)
-    p0 = _load(args)
-    if not _valid(p0, max(qc.horizon for qc in levels), args.seed):
+    p0 = _problem(args, max(qc.horizon for qc in levels))
+    if p0 is None:
         return 1
     out = _out_dir(args)
 

@@ -284,23 +284,19 @@ class ValidationReport:
         return [c for c in self.checks if c["name"] == name]
 
 
-def _check_schedule(name, schedule, horizon, t0):
-    """(report entry, points below the horizon); no points when the
-    enumeration fails."""
-    entry = {"name": f"{name}_schedule", "passed": True, "details": {}}
+def _entry(name, check, *args):
+    """Report entry ``name`` of ``check(details, *args)``, which fills
+    ``details`` and returns whether it passed.  A check that raises fails
+    with the error, and with the index of a non-monotone schedule."""
+    details = {}
     try:
-        pts = schedule.points_below(horizon)
-    except Exception as exc:  # enumeration failure is a hard failure
-        entry["passed"] = False
-        entry["details"]["error"] = str(exc)
+        passed = check(details, *args)
+    except Exception as exc:
+        passed = False
+        details["error"] = str(exc)
         if isinstance(exc, _ScheduleOrderError):
-            entry["details"]["non_monotone_at_index"] = exc.index
-        return entry, np.zeros(0)
-    entry["details"]["count_below_horizon"] = int(pts.size)
-    skipped = pts[pts <= t0]
-    if skipped.size:
-        entry["details"]["points_at_or_below_t0"] = [float(p) for p in skipped]
-    return entry, pts
+            details["non_monotone_at_index"] = exc.index
+    return {"name": name, "passed": passed, "details": details}
 
 
 def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
@@ -316,11 +312,18 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     """
     _require_domain(p.t0, horizon)
     rng = np.random.default_rng(seed)
-    checks = []
+    pts = {"u": np.zeros(0), "v": np.zeros(0)}  # stay empty if enumeration fails
 
-    entry_u, pts_u = _check_schedule("u", p.u_schedule, horizon, p.t0)
-    entry_v, pts_v = _check_schedule("v", p.v_schedule, horizon, p.t0)
-    checks += [entry_u, entry_v]
+    def schedule(details, side, sched):
+        pts[side] = sched.points_below(horizon)
+        details["count_below_horizon"] = int(pts[side].size)
+        skipped = pts[side][pts[side] <= p.t0]
+        if skipped.size:
+            details["points_at_or_below_t0"] = [float(s) for s in skipped]
+        return True
+
+    checks = [_entry(f"{side}_schedule", schedule, side, sched)
+              for side, sched in (("u", p.u_schedule), ("v", p.v_schedule))]
 
     lo = max(p.t0, 1e-6) if p.t0 > 0 else 0.0
     t = rng.uniform(lo, horizon, size=samples)
@@ -328,45 +331,34 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     y = rng.uniform(-2.0, 2.0, size=samples) * (1.0 + t)
     z = rng.uniform(-2.0, 2.0, size=samples)
     w = rng.uniform(-2.0, 2.0, size=samples)
-    for name, fn in (("f", p.f), ("h", p.h)):
-        entry = {"name": f"{name}_finite", "passed": True, "details": {}}
-        try:
-            i = _first_nonfinite(fn(t, x, y, z, w))
-            if i is not None:
-                entry["passed"] = False
-                entry["details"]["first_nonfinite"] = {
-                    k: float(a[i]) for k, a in zip("txyzw", (t, x, y, z, w))}
-        except Exception as exc:
-            entry["passed"] = False
-            entry["details"]["error"] = str(exc)
-        checks.append(entry)
 
-    eps = 1e-6
-    for name, m, sched_pts in (("I0", p.I0, pts_u), ("I1", p.I1, pts_u),
-                               ("J0", p.J0, pts_v), ("J1", p.J1, pts_v)):
-        entry = {"name": f"{name}_continuity", "passed": True, "details": {}}
-        pts = sched_pts[:20]
-        if pts.size:
-            a = rng.uniform(-2.0, 2.0, size=pts.size) * (1.0 + pts)
-            b = rng.uniform(-2.0, 2.0, size=pts.size)
-            try:
-                base = m(pts, a, b)
-                wiggle = np.maximum(
-                    np.abs(m(pts, a + eps, b) - base),
-                    np.abs(m(pts, a, b + eps) - base),
-                )
-                scale = 1.0 + np.abs(base)
-                bad = wiggle > 0.1 * scale
-                if np.any(bad):
-                    i = int(np.nonzero(bad)[0][0])
-                    entry["passed"] = False
-                    entry["details"]["discontinuity_near"] = {
-                        "p": float(pts[i]), "a": float(a[i]), "b": float(b[i]),
-                        "wiggle": float(wiggle[i]),
-                    }
-            except Exception as exc:
-                entry["passed"] = False
-                entry["details"]["error"] = str(exc)
-        checks.append(entry)
+    def finite(details, fn):
+        i = _first_nonfinite(fn(t, x, y, z, w))
+        if i is None:
+            return True
+        details["first_nonfinite"] = {k: float(a[i]) for k, a in zip("txyzw", (t, x, y, z, w))}
+        return False
 
+    checks += [_entry(f"{name}_finite", finite, fn) for name, fn in (("f", p.f), ("h", p.h))]
+
+    def continuity(details, m, side, eps=1e-6):
+        at = pts[side][:20]
+        if not at.size:
+            return True
+        a = rng.uniform(-2.0, 2.0, size=at.size) * (1.0 + at)
+        b = rng.uniform(-2.0, 2.0, size=at.size)
+        base = m(at, a, b)
+        wiggle = np.maximum(np.abs(m(at, a + eps, b) - base), np.abs(m(at, a, b + eps) - base))
+        scale = 1.0 + np.abs(base)
+        bad = wiggle > 0.1 * scale
+        if not np.any(bad):
+            return True
+        i = int(np.nonzero(bad)[0][0])
+        details["discontinuity_near"] = {"p": float(at[i]), "a": float(a[i]), "b": float(b[i]),
+                                         "wiggle": float(wiggle[i])}
+        return False
+
+    checks += [_entry(f"{name}_continuity", continuity, m, side)
+               for name, m, side in (("I0", p.I0, "u"), ("I1", p.I1, "u"),
+                                     ("J0", p.J0, "v"), ("J1", p.J1, "v"))]
     return ValidationReport(checks=checks, passed=all(c["passed"] for c in checks))

@@ -30,7 +30,7 @@ def _rhs_zero():
 
 
 def _rhs_constant(value=0.0):
-    return lambda t, x, y, z, w: np.full_like(t, float(value))
+    return lambda t, x, y, z, w: np.full_like(t, value)
 
 
 def _rhs_exp_decay(amplitude=1.0, rate=1.0):
@@ -69,7 +69,7 @@ def _imp_zero():
 
 
 def _imp_constant(value=0.0):
-    return lambda p, a, b: np.full_like(p, float(value))
+    return lambda p, a, b: np.full_like(p, value)
 
 
 def _imp_linear(c0=0.0, ca=0.0, cb=0.0):
@@ -81,7 +81,7 @@ def _imp_power_decay(ca=0.0, cb=0.0, c0=0.0, power=3.0):
 
 
 def _imp_point_values(points=(), values=()):
-    table = {float(p): float(v) for p, v in zip(points, values)}
+    table = dict(zip(points, values, strict=True))
 
     def fn(p, a, b):
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -112,6 +112,8 @@ def _bound_constant(value=1.0, rho_power=0.0):
 
 
 def _bound_exp_decay(amplitude=1.0, rate=1.0, rho_power=0.0):
+    if not rate > 0.0:  # NaN fails it too
+        raise ValueError(f"the dominator needs rate > 0 to be integrable, got {rate!r}")
     fn = lambda rho, t: (amplitude * rho ** rho_power
                          * np.exp(-rate * np.asarray(t, dtype=float)))
     tail = lambda rho, t: amplitude * rho ** rho_power * math.exp(-rate * t) / rate
@@ -132,7 +134,7 @@ def _seq_zero():
 
 
 def _seq_power(c=1.0, power=3.0, rho_power=1.0):
-    if power <= 1.0:
+    if not power > 1.0:  # NaN fails it too
         raise ValueError("sequence bound needs power > 1 to be summable")
     fn = lambda rho, k: c * rho ** rho_power / np.asarray(k, dtype=float) ** power
     tail = lambda rho, K: c * rho ** rho_power * K ** (1.0 - power) / (power - 1.0)
@@ -146,12 +148,10 @@ SEQ_BOUND_REGISTRY = {
 
 
 def _rule_integers(step=1.0):
-    step = float(step)
     return lambda k: k * step
 
 
 def _rule_arithmetic(start, step):
-    start, step = float(start), float(step)
     return lambda k: start + (k - 1) * step
 
 
@@ -159,16 +159,21 @@ SCHEDULE_REGISTRY = {"integers": _rule_integers, "arithmetic": _rule_arithmetic}
 
 
 def _call(registry, what, name, params, where=""):
-    """``registry[name](**params)``; an unknown name, or params the entry does
-    not take, is a KeyError naming ``what`` and the entry, and a ValueError
-    of the entry is re-raised naming it too."""
+    """``registry[name](**params)``, each parameter converted to a float (a
+    list to a tuple of floats).  An unknown name, or params the entry does
+    not take, is a KeyError naming ``what`` and the entry; the conversion's
+    and the entry's TypeError (as a KeyError), ValueError and ArithmeticError
+    are re-raised naming it too."""
     if not (isinstance(name, str) and name in registry):
         raise KeyError(f"unknown {what} {name!r}{where}; registry: {sorted(registry)}")
     try:
+        if isinstance(params, dict):
+            params = {k: tuple(map(float, v)) if isinstance(v, list) else float(v)
+                      for k, v in params.items()}
         return registry[name](**params)
     except TypeError as exc:
         raise KeyError(f"{what} {name!r}{where}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{what} {name!r}{where}: {exc}") from exc
 
 
@@ -189,7 +194,7 @@ def _object(obj, path, keys=None, required=()):
 def _number(value, path):
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
 
 
@@ -199,7 +204,7 @@ def _numbers(values, path):
         raise ValueError(f"{path}: expected a list of numbers, got {values!r}")
     try:
         return tuple(map(float, values))
-    except (TypeError, ValueError):  # name the first value float() rejects
+    except (TypeError, ValueError, OverflowError):  # name the first value float() rejects
         for i, v in enumerate(values):
             _number(v, f"{path}[{i}]")
         raise
@@ -248,8 +253,6 @@ def _make_schedule(spec, path) -> ImpulseSchedule:
 
 
 def _model_pendulum(**params):
-    if "alpha" in params:
-        params["alpha"] = tuple(params["alpha"])
     return build_pendulum_problem(PendulumParams(**params))
 
 

@@ -612,3 +612,19 @@ def test_an_evaluation_error_leaves_no_output_directory(tmp_path, capsys):
     assert _run_main(["solve", str(prob), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: T2 returned a non-finite value")
     assert not (tmp_path / "new").exists()
+
+
+def test_check_validates_the_problem_like_solve(tmp_path, capsys):
+    # f is NaN everywhere: check stops before its audits with solve's report
+    prob = tmp_path / "nan_f.json"
+    prob.write_text(json.dumps({"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
+                                "rhs": {"f": {"name": "constant", "params": {"value": math.nan}}},
+                                "bounds": {}}))
+    flags = ["--horizon", "5", "--mesh-spacing", "0.1"]
+    assert _run_main(["check", str(prob), "--out-dir", str(tmp_path / "c"), *flags,
+                      "--samples", "500", "--ball-samples", "5", "--K", "10"]) == 1
+    check = capsys.readouterr().err
+    assert _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "s"), *flags]) == 1
+    assert check == capsys.readouterr().err
+    assert check.startswith("problem validation failed:\n  f_finite: {'first_nonfinite': ")
+    assert not (tmp_path / "c").exists()

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulsebvp.problemfile import (IMPULSE_REGISTRY, MODEL_REGISTRY,
-                                    RHS_REGISTRY, SCHEDULE_REGISTRY, load_problem,
-                                    load_problem_file)
+from impulsebvp.pendulum import PendulumParams
+from impulsebvp.problemfile import (BOUND_REGISTRY, IMPULSE_REGISTRY, MODEL_REGISTRY,
+                                    RHS_REGISTRY, SCHEDULE_REGISTRY, SEQ_BOUND_REGISTRY,
+                                    load_problem, load_problem_file)
 
 
 def test_zero_problem_document():
@@ -193,6 +197,21 @@ MALFORMED = {
     "rule-unknown": ({"boundary": _B, "impulses": {"u": {"schedule": {"rule": "nope"}}}},
                      r"unknown schedule rule 'nope' for impulses\.u\.schedule; "
                      r"registry: \['arithmetic', 'integers'\]$"),
+    "rhs-width-zero": ({"boundary": _B, "rhs": {
+        "f": {"name": "bump_weighted_state", "params": {"width": 0}}}},
+        r"rhs 'bump_weighted_state': float division by zero$"),
+    "point-values-unmatched": ({"boundary": _B, "impulses": {"u": {
+        "schedule": {"points": [1.0, 2.0]},
+        "I0": {"name": "point_values", "params": {"points": [1.0, 2.0], "values": [0.5]}}}}},
+        r"impulse map 'point_values': zip\(\) argument 2 is shorter than argument 1$"),
+    "boundary-int-overflow": ({"boundary": {**_B, "A1": 10 ** 400}},
+                              r"boundary\.A1: expected a number, got 10{400}$"),
+    "point-int-overflow": ({"boundary": _B, "impulses": {"u": {"schedule": {
+        "points": [1, 10 ** 400]}}}},
+        r"impulses\.u\.schedule\.points\[1\]: expected a number, got 10{400}$"),
+    "param-int-overflow": ({"boundary": _B, "rhs": {"f": {
+        "name": "constant", "params": {"value": 10 ** 400}}}},
+        r"rhs 'constant': int too large to convert to float$"),
 }
 
 
@@ -218,3 +237,82 @@ def test_the_documented_examples_load():
     assert named.bounds is not None and named.t0 == 1.0
     assert list(explicit.v_schedule.points_below(3.5)) == [1.0, 2.0, 3.0]
     assert explicit.bounds.u_floor is None
+
+
+def _registry_cases():
+    """(what, entry name, document), one per parameter of every registry
+    entry: that parameter is "x", and the other parameters without a default
+    are 1; the spring pendulum's parameters are the PendulumParams fields."""
+    docs = [
+        ("rhs", RHS_REGISTRY, lambda n, ps: {"boundary": _B, "rhs": {"f": {
+            "name": n, "params": ps}}}),
+        ("impulse map", IMPULSE_REGISTRY, lambda n, ps: {"boundary": _B, "impulses": {
+            "u": {"I0": {"name": n, "params": ps}}}}),
+        ("bound family", BOUND_REGISTRY, lambda n, ps: {"boundary": _B, "bounds": {
+            "Phi": {"name": n, "params": ps}}}),
+        ("bound family", SEQ_BOUND_REGISTRY, lambda n, ps: {"boundary": _B, "bounds": {
+            "phi_seq": {"name": n, "params": ps}}}),
+        ("schedule rule", SCHEDULE_REGISTRY, lambda n, ps: {"boundary": _B, "impulses": {
+            "u": {"schedule": {"rule": n, **ps}}}}),
+        ("model", MODEL_REGISTRY, lambda n, ps: {"model": n, "params": ps}),
+    ]
+    cases = []
+    for what, registry, doc in docs:
+        for name, factory in registry.items():
+            if name == "spring-pendulum":
+                params = {f.name: f.default for f in dataclasses.fields(PendulumParams)}
+            else:
+                params = {k: v.default for k, v in inspect.signature(factory).parameters.items()}
+            required = {k: 1.0 for k, d in params.items() if d is inspect.Parameter.empty}
+            for param in params:
+                cases.append(pytest.param(what, name, doc(name, {**required, param: "x"}),
+                                          id=f"{what}-{name}-{param}"))
+    return cases
+
+
+@pytest.mark.parametrize("what,name,doc", _registry_cases())
+def test_every_registry_parameter_is_converted_at_load(what, name, doc):
+    with pytest.raises((KeyError, ValueError)) as exc:
+        load_problem(doc)
+    assert f"{what} {name!r}" in exc.value.args[0]
+
+
+@pytest.mark.parametrize("key,name,param", [("Phi", "exp_decay", "rate"),
+                                            ("phi_seq", "power", "power")])
+def test_nan_bound_params_are_rejected(key, name, param):
+    with pytest.raises(ValueError, match=rf"^bound family '{name}' for {key}: "):
+        load_problem({"boundary": _B, "bounds": {key: {"name": name,
+                                                       "params": {param: math.nan}}}})
+
+
+_EXP_DECAY_F = {"f": {"name": "exp_decay", "params": {"amplitude": 0.5, "rate": 0.05}}}
+# check on documents with one bad registry value; the pattern is its one error line
+CHECK_LOAD_ERRORS = {
+    "bound-param-string": ({"boundary": _B, "bounds": {
+        "Phi": {"name": "constant", "params": {"value": "x"}}}},
+        r"bound family 'constant' for Phi: could not convert string to float: 'x'$"),
+    "rhs-width-zero": ({"boundary": _B, "rhs": {
+        "f": {"name": "bump_weighted_state", "params": {"width": 0}}}},
+        r"rhs 'bump_weighted_state': float division by zero$"),
+    "exp-decay-bound-grows": ({"boundary": _B, "rhs": _EXP_DECAY_F, "bounds": {
+        "Phi": {"name": "exp_decay", "params": {"rate": -0.05}}}},
+        r"bound family 'exp_decay' for Phi: .*rate > 0.*, got -0\.05$"),
+    "exp-decay-bound-flat": ({"boundary": _B, "rhs": _EXP_DECAY_F, "bounds": {
+        "Phi": {"name": "exp_decay", "params": {"rate": 0}}}},
+        r"bound family 'exp_decay' for Phi: .*rate > 0.*, got 0\.0$"),
+}
+
+
+@pytest.mark.parametrize("doc,pattern", CHECK_LOAD_ERRORS.values(), ids=CHECK_LOAD_ERRORS.keys())
+def test_check_fails_at_load_on_one_error_line(doc, pattern, tmp_path, capsys):
+    from impulsebvp import cli
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", str(prob), "--horizon", "5", "--mesh-spacing", "0.1",
+                  "--samples", "500", "--ball-samples", "5", "--K", "10", "--out-dir", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match("error: " + pattern, err[0]), err
+    assert not out.exists()
