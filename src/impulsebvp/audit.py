@@ -178,10 +178,7 @@ def check_impulse_bounds(p: ImpulsiveCoupledBVP, b: CaratheodoryBounds, rho,
         tails[key] = float(tail_fn(rho, K)) if tail_fn is not None else None
 
         # bound check by sampling the admissible (x, y) box at each point
-        if sched.points is not None:
-            pts = np.asarray(sched.points[:K], dtype=float)
-        else:
-            pts = np.asarray([sched.point(i) for i in range(1, K + 1)], dtype=float)
+        pts = sched.first(K)
         if pts.size == 0:
             continue
         kk = np.arange(1, pts.size + 1)

@@ -116,10 +116,10 @@ class ImpulseSchedule:
 
     Exactly one of an explicit finite tuple ``points`` and a ``rule`` mapping the
     1-based index k to the k-th time.  Infinite schedules are enumerated
-    lazily below any finite horizon.  The enumeration stops with a
-    ValueError naming the index and value at the first rule value that does
-    not exceed its predecessor, or at the ``_ENUM_CAP``-th time below the
-    horizon (a bounded rule).
+    lazily, below a finite horizon or up to a count.  The enumeration stops
+    with a ValueError naming the index and value at the first rule value
+    that does not exceed its predecessor, or at the ``_ENUM_CAP``-th time
+    below the horizon (a bounded rule).
     """
 
     points: Optional[Sequence[float]] = None
@@ -154,17 +154,29 @@ class ImpulseSchedule:
             return self.points[k - 1]
         return float(self.rule(k))
 
-    def points_below(self, horizon: float) -> np.ndarray:
-        """All schedule times in (0, horizon), in order."""
-        if self.points is not None:
-            return np.asarray([p for p in self.points if p < horizon], dtype=float)
-        out = []
+    def _rule_times(self):
+        """(k, rule(k)) for k = 1, 2, ..., checked to increase strictly."""
         prev = -np.inf
         for k in itertools.count(1):
             p = float(self.rule(k))
             if not p > prev:  # also catches NaN
                 raise _ScheduleOrderError(k, p, prev)
             prev = p
+            yield k, p
+
+    def first(self, K: int) -> np.ndarray:
+        """The first K schedule times (all of a shorter explicit list), in order."""
+        if self.points is not None:
+            return np.asarray(self.points[:K], dtype=float)
+        return np.asarray([p for _, p in itertools.islice(self._rule_times(), K)],
+                          dtype=float)
+
+    def points_below(self, horizon: float) -> np.ndarray:
+        """All schedule times in (0, horizon), in order."""
+        if self.points is not None:
+            return np.asarray([p for p in self.points if p < horizon], dtype=float)
+        out = []
+        for k, p in self._rule_times():
             if p >= horizon:
                 break
             out.append(p)
@@ -306,7 +318,8 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
     impulse maps.
 
     Non-finite right-hand-side samples become report entries with the
-    offending location; a non-monotone schedule is a hard failure, and its
+    offending location, and a non-finite impulse-map value or wiggle fails
+    its continuity entry; a non-monotone schedule is a hard failure, and its
     impulse maps are not sampled.  Each schedule is enumerated once.  The
     report is deterministic for a fixed seed.
     """
@@ -350,7 +363,7 @@ def validate_problem(p: ImpulsiveCoupledBVP, horizon: float, seed: int = 0,
         base = m(at, a, b)
         wiggle = np.maximum(np.abs(m(at, a + eps, b) - base), np.abs(m(at, a, b + eps) - base))
         scale = 1.0 + np.abs(base)
-        bad = wiggle > 0.1 * scale
+        bad = ~(wiggle <= 0.1 * scale)  # a non-finite value or wiggle fails too
         if not np.any(bad):
             return True
         i = int(np.nonzero(bad)[0][0])

@@ -56,11 +56,12 @@ into full-length rows, and the cumulative sums, the assembly and the
 tails run once on those rows.  Every step is elementwise per point or
 per panel, so the outputs do not depend on the block size.  The size
 keeps every per-point temporary at 256 KiB or less.  A whole-plan pass
-over the 93 296 points of a 400 + 160 impulse problem pushes several MB
+over the 66 344 points of a 400 + 160 impulse problem pushes several MB
 of temporaries through the C heap per call, which hands them back to the
-system and faults them in again (about 800 page faults per call); blocks
-of 4 096 panels avoid that, while much smaller blocks (256 panels) cost
-more in per-block overhead than they save.
+system and faults them in again: a solve of that problem in one block
+takes about 3x the minor page faults and 1.3x the time it takes in blocks
+of 4 096 panels, while much smaller blocks (256 panels) cost more in
+per-block overhead than they save.
 
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
@@ -80,7 +81,7 @@ from .kernel import green
 from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
-PANELS_PER_PIECE = 16  # least panels between consecutive impulse times
+PANELS_PER_PIECE = 4   # least panels between consecutive impulse times
 BLOCK_PANELS = 4096    # most panels per block of apply_T's Gauss-point pass
 
 __all__ = [

@@ -9,7 +9,7 @@ from impulsebvp.audit import (CaratheodoryBounds, check_ball_invariance,
                               sample_ball_pair)
 from impulsebvp.fnspace import norm_X
 from impulsebvp.model import (BoundaryData, ImpulseMap, ImpulseSchedule,
-                              ImpulsiveCoupledBVP, RhsFunction)
+                              ImpulsiveCoupledBVP, RhsFunction, validate_problem)
 from impulsebvp.operator import QuadratureConfig
 from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
 
@@ -92,6 +92,18 @@ def test_nan_rhs_and_map_values_are_violations():
     viol, _, _ = check_impulse_bounds(dataclasses.replace(pend, I0=nan_map),
                                       pend.bounds, rho=1.0, K=50)
     assert len(viol) == 50 * 8 and {v["family"] for v in viol} == {"I0"}
+
+
+def test_impulse_bounds_enumerate_rules_with_the_order_check():
+    # the rule turns back at k = 50, past the horizon: validation cannot see
+    # it, the audit's first K points must
+    pend = build_pendulum_problem(PendulumParams())
+    p = dataclasses.replace(
+        pend, u_schedule=ImpulseSchedule(rule=lambda k: float(k) if k < 50 else 1.0))
+    assert validate_problem(p, 40.0).passed
+    with pytest.raises(ValueError, match=r"^schedule rule is not strictly increasing: "
+                                         r"rule\(50\) = 1\.0"):
+        check_impulse_bounds(p, p.bounds, rho=1.0, K=1000)
 
 
 def test_impulse_bounds_zero_maps_pass():

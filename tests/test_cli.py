@@ -259,7 +259,8 @@ def test_unknown_model_prints_the_bare_message(tmp_path, capsys):
                                        f"registry: {sorted(MODEL_REGISTRY)}\n")
 
 
-def test_nonfinite_impulse_map_fails_on_the_error_line(tmp_path, capsys):
+def test_nonfinite_impulse_map_fails_validation(tmp_path, capsys):
+    # a map that is NaN everywhere stops at validation, before iteration 1
     doc = {"boundary": {"A1": 1.0, "A2": 0.0, "B1": 0.5, "B2": 0.0},
            "impulses": {"v": {"schedule": {"points": [1.0, 2.0]},
                               "J1": {"name": "constant", "params": {"value": math.nan}}}}}
@@ -268,9 +269,9 @@ def test_nonfinite_impulse_map_fails_on_the_error_line(tmp_path, capsys):
     assert _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "o"),
                       "--horizon", "5", "--mesh-spacing", "0.1"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: impulse map returned a non-finite "
-                                               "value at s=1 "), err
-    assert err[0].endswith(" in iteration 1")
+    assert err[0] == "problem validation failed:"
+    assert len(err) == 2 and err[1].startswith("  J1_continuity: "), err
+    assert not (tmp_path / "o").exists()
 
 
 # each command on a problem it would finish, with the output directory
@@ -601,6 +602,15 @@ def test_manifest_records_the_environment(zero_file, tmp_path):
     assert env["numpy"] == np.__version__
     assert env["platform"].startswith(platform.system() + "-")
     assert env["platform"].endswith("-" + platform.machine())
+
+
+def test_package_version_matches_pyproject():
+    # manifest.json's tool_version pins the quadrature rule; pyproject.toml
+    # must name the same release
+    import re
+    from impulsebvp import __version__
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
 
 
 def test_an_evaluation_error_leaves_no_output_directory(tmp_path, capsys):

@@ -115,6 +115,30 @@ def test_validate_flags_discontinuous_impulse_map():
     assert not report.entries("I0_continuity")[0]["passed"]
 
 
+def test_validate_flags_nonfinite_impulse_map():
+    # a comparison with NaN is false: a map that is NaN everywhere must fail
+    # the continuity entry, not slip past "wiggle > 0.1 * scale"
+    import dataclasses
+    from impulsebvp.manufactured import manufactured_problem
+    p = dataclasses.replace(manufactured_problem(),
+                            I0=ImpulseMap(lambda p_, a, b: np.full_like(p_, np.nan), name="nan"))
+    report = validate_problem(p, 40.0)
+    assert not report.passed
+    assert not report.entries("I0_continuity")[0]["passed"]
+    assert all(c["passed"] for c in report.checks if c["name"] != "I0_continuity")
+
+
+def test_first_k_times_of_a_schedule():
+    assert list(ImpulseSchedule(points=(0.5, 1.5)).first(5)) == [0.5, 1.5]
+    assert list(ImpulseSchedule(points=(0.5, 1.5)).first(1)) == [0.5]
+    assert list(ImpulseSchedule(rule=lambda k: 2.0 * k).first(3)) == [2.0, 4.0, 6.0]
+    # the order check of points_below, past any horizon
+    late = ImpulseSchedule(rule=lambda k: float(k) if k < 50 else 1.0)
+    assert late.first(49)[-1] == 49.0
+    with pytest.raises(ValueError, match=r"rule\(50\) = 1\.0 does not exceed rule\(49\)"):
+        late.first(50)
+
+
 def test_validate_monotonicity_failure_index():
     # schedule (1.0, 1.0) is rejected at construction; use a rule to smuggle
     # a non-monotone sequence to the validator

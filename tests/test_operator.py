@@ -267,7 +267,8 @@ def test_impulses_clustered_below_horizon():
 
 
 def test_coarse_mesh_still_integrates_accurately():
-    # PANELS_PER_PIECE keeps the quadrature sharp even on a crude mesh
+    # 8-point Gauss on the crude mesh's own 8 panels (the PANELS_PER_PIECE
+    # floor does not fire) still integrates exp(-t) to about 2e-11
     p = make_problem(f=rhs(lambda t, x, y, z, w: np.exp(-t), "exp_decay"))
     qc = QuadratureConfig(horizon=40.0, mesh_spacing=5.0)
     s = initial_pair(p, qc, "zero")

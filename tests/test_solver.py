@@ -468,3 +468,30 @@ def test_truncated_solution_matches_its_closed_form(horizon):
         slope = B + (1.0 + horizon) ** -2
         assert np.max(np.abs(x(t) - (A + slope * t + 1.0 / (1.0 + t) - 1.0))) <= 1e-12
         assert np.max(np.abs(x.deriv(t) - (slope - (1.0 + t) ** -2))) <= 1e-12
+
+
+@pytest.mark.parametrize("mesh_spacing", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("horizon", [10.0, 40.0])
+def test_truncated_impulsive_solution_matches_its_closed_form(horizon, mesh_spacing):
+    # the same rhs with v' += k^-3 at every integer k < H: one union-grid
+    # panel per piece at h >= 1, so the panel floor keeps the quadrature at
+    # round-off; x(0) = A, x'(H) = B, both components checked at every slot
+    g = RhsFunction(lambda t, x, y, z, w: 2.0 / (1.0 + t) ** 3, name="cubic-decay")
+    p = simple_problem(f=g, h=g, boundary=(1.0, 0.0, 0.5, 1.0),
+                       v_schedule=ImpulseSchedule(rule=lambda k: float(k)),
+                       J1=ImpulseMap(lambda pp, a, b: pp ** -3.0, name="cube"))
+    pair, diag = solve(p, SolverConfig(tol=1e-13),
+                       QuadratureConfig(horizon=horizon, mesh_spacing=mesh_spacing))
+    assert diag.converged
+    k = np.arange(1.0, horizon)
+    for x, A, B, jumps in ((pair.u, 1.0, 0.5, np.zeros_like(k)),
+                           (pair.v, 0.0, 1.0, k ** -3.0)):
+        slope = B + (1.0 + horizon) ** -2 - jumps.sum()
+        t = x.mesh.grid
+        col = t[:, None]
+        for slot, past in ((x.mesh.left_slot, k < col), (x.mesh.right_slot, k <= col)):
+            value = (A + slope * t + 1.0 / (1.0 + t) - 1.0
+                     + (past * jumps * (col - k)).sum(axis=1))
+            deriv = slope - (1.0 + t) ** -2 + (past * jumps).sum(axis=1)
+            assert np.max(np.abs(x.values[slot] - value)) <= 1e-12
+            assert np.max(np.abs(x.derivs[slot] - deriv)) <= 1e-12
