@@ -348,15 +348,27 @@ def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     return vals, ders
 
 
-def _union_mesh(a: Mesh, b: Mesh) -> Mesh:
-    """The union of two meshes' grids, doubled at either one's impulse times."""
+def _union_grid(a: Mesh, b: Mesh):
+    """(grid, doubled): the union of two meshes' grids and the mask of its
+    nodes that are an impulse time of either.  Two nodes one rounding
+    apart are one node: of such a pair the impulse time is kept (and the
+    domain end), else the left one; two impulse times both stay."""
     grid = np.union1d(a.grid, b.grid)
-    pts = np.union1d(a.impulse_times, b.impulse_times)
-    doubled = np.zeros(grid.size, dtype=int)
-    doubled[np.searchsorted(grid, pts)] = 1
+    doubled = np.zeros(grid.size, dtype=bool)
+    doubled[np.searchsorted(grid, np.union1d(a.impulse_times, b.impulse_times))] = True
+    fixed = doubled.copy()
+    fixed[[0, -1]] = True
+    close = np.diff(grid) <= np.spacing(grid[1:])
+    keep = fixed | ~(np.append(False, close) | np.append(close & fixed[1:], False))
+    return grid[keep], doubled[keep]
+
+
+def _union_mesh(a: Mesh, b: Mesh) -> Mesh:
+    """The mesh on :func:`_union_grid`, doubled at either one's impulse times."""
+    grid, doubled = _union_grid(a, b)
     left_slot = np.arange(grid.size) + np.cumsum(doubled) - doubled
     return Mesh(nodes=np.repeat(grid, 1 + doubled), grid=grid, left_slot=left_slot,
-                right_slot=left_slot + doubled, impulse_times=pts)
+                right_slot=left_slot + doubled, impulse_times=grid[doubled])
 
 
 def difference_norm(sa: SolutionPair, sb: SolutionPair) -> float:

@@ -144,16 +144,6 @@ class ImpulseSchedule:
     def empty():
         return ImpulseSchedule(points=())
 
-    def point(self, k: int) -> float:
-        """The k-th impulse time, k >= 1."""
-        if k < 1:
-            raise ValueError("impulse indices are 1-based")
-        if self.points is not None:
-            if k > len(self.points):
-                raise IndexError(f"schedule has only {len(self.points)} points")
-            return self.points[k - 1]
-        return float(self.rule(k))
-
     def _rule_times(self):
         """(k, rule(k)) for k = 1, 2, ..., checked to increase strictly."""
         prev = -np.inf

@@ -30,7 +30,11 @@ every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
 call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
 (``_hermite_weights`` and ``_hermite_combine``): the plan stores the
 weights, point evaluation recomputes them, and both combine them in one
-function, so the two paths agree bit for bit by construction.
+function, so the two paths agree bit for bit by construction.  The union
+grid of ``fnspace._union_grid`` merges nodes one rounding apart, so no
+panel a rounding wide puts Gauss points on a grid node, where point
+evaluation reads a slot; only two impulse times of different components
+one rounding apart both stay, and the panel between them does.
 
 Gauss points and weights have one layout, that of ``_gauss_panels``:
 Gauss-major, C-contiguous (GAUSS_ORDER, npanels), one row per Gauss node,
@@ -76,7 +80,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
-                      _hermite_weights, _require_positive, build_mesh, norm_X)
+                      _hermite_weights, _require_positive, _union_grid, build_mesh,
+                      norm_X)
 from .kernel import green
 from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
@@ -254,18 +259,19 @@ class _MeshPlan:
     """What one component's mesh contributes to the operator, per problem.
 
     Every quadrature panel lies inside one grid interval of the mesh (the
-    panel boundaries contain the grid), so the Hermite data of panel i is
-    read from the two slots ``s_lo[i]`` (right slot of grid node j) and
-    ``s_hi[i]`` (left slot of grid node j+1), with interval length ``h[i]``.
-    The cubic Hermite weights at the panel's Gauss points are fixed by the
-    plan: ``weights`` holds the seven arrays of
-    :func:`fnspace._hermite_weights`, Gauss-major (GAUSS_ORDER, npanels)
-    like the plan's Gauss points, and ``interpolate`` combines them with
-    :func:`fnspace._hermite_combine`, the kernel point evaluation uses.
-    The few Gauss points that coincide with a grid node (the ends of panels
-    a rounding error wide) are listed in ``on_node`` (flat indices) and read
-    ``node_slot`` (the left slot, by the left-continuity convention).
-    Per slot, ``panel`` indexes its time in the panel boundaries (the
+    panel boundaries contain the union grid), so the Hermite data of panel
+    i is read from the two slots ``s_lo[i]`` (right slot of grid node j)
+    and ``s_hi[i]`` (left slot of grid node j+1), with interval length
+    ``h[i]``; the panel's midpoint locates j.  The union merges grid nodes
+    one rounding apart but keeps two impulse times one rounding apart: the
+    Gauss points of the panel between them round onto them and read the
+    interpolant there, not the left slot.  The cubic Hermite weights at
+    the panel's Gauss points are fixed by the plan: ``weights`` holds the
+    seven arrays of :func:`fnspace._hermite_weights`, Gauss-major
+    (GAUSS_ORDER, npanels) like the plan's Gauss points, and
+    ``interpolate`` combines them with :func:`fnspace._hermite_combine`,
+    the kernel point evaluation uses.
+    Per slot, ``panel`` indexes the panel boundary nearest its time (the
     moments up to it are ``C0[panel]``, ``C1[panel]``) and ``cnt`` counts
     the impulse times before it.  ``lo``/``hi`` are the left and right
     slots of the mesh's doubled nodes, its impulse times in ascending order.
@@ -276,8 +282,6 @@ class _MeshPlan:
     s_hi: np.ndarray
     h: np.ndarray
     weights: tuple
-    on_node: np.ndarray
-    node_slot: np.ndarray
     panel: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -286,42 +290,31 @@ class _MeshPlan:
     @staticmethod
     def build(mesh, boundaries, spts):
         grid = mesh.grid
-        j = np.minimum(np.searchsorted(grid, boundaries[:-1], side="right") - 1,
-                       grid.size - 2)
-        x0, x1 = grid[j], grid[j + 1]
-        h = x1 - x0
-        # a Gauss point lies in its panel's grid interval [x0, x1], so it can
-        # only sit on one of those two nodes
-        at_hi = spts == x1
-        on_node = np.flatnonzero(at_hi | (spts == x0))
-        node = j[on_node % j.size] + at_hi.ravel()[on_node]
+        # a panel lies in one grid interval up to a node merged into its
+        # end, so its midpoint finds that interval (the midpoint of a panel
+        # a rounding wide may round onto the horizon)
+        mid = 0.5 * (boundaries[1:] + boundaries[:-1])
+        j = np.minimum(np.searchsorted(grid, mid, side="right") - 1, grid.size - 2)
+        x0 = grid[j]
+        h = grid[j + 1] - x0
         knot = mesh.doubled_nodes()
         return _MeshPlan(
             mesh=mesh, s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
             weights=tuple(_hermite_weights((spts - x0) / h, h)),
-            on_node=on_node, node_slot=mesh.left_slot[node],
-            panel=np.searchsorted(boundaries, mesh.nodes),
+            panel=np.searchsorted(mid, mesh.nodes),
             lo=mesh.left_slot[knot], hi=mesh.right_slot[knot],
             cnt=np.searchsorted(mesh.impulse_times, mesh.nodes, side="left"))
 
     def interpolate(self, x: PiecewiseC1Function, a=0, b=None):
         """x and x' at the Gauss points of panels a..b-1 (default: all), in
         ``spts[:, a:b].ravel()`` order, bit for bit as ``x(flat)`` and
-        ``x.deriv(flat)`` compute them."""
-        npanels = self.h.size
-        b = npanels if b is None else b
+        ``x.deriv(flat)`` compute them at every Gauss point off a grid node."""
         cols = slice(a, b)
         s_lo, s_hi = self.s_lo[cols], self.s_hi[cols]
         val, der = _hermite_combine((w[:, cols] for w in self.weights), self.h[cols],
                                     x.values[s_lo], x.values[s_hi],
                                     x.derivs[s_lo], x.derivs[s_hi])
-        val, der = val.ravel(), der.ravel()
-        row, col = np.divmod(self.on_node, npanels)
-        inside = (col >= a) & (col < b)
-        at = row[inside] * (b - a) + (col[inside] - a)
-        val[at] = x.values[self.node_slot[inside]]
-        der[at] = x.derivs[self.node_slot[inside]]
-        return val, der
+        return val.ravel(), der.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +323,7 @@ class OperatorPlan:
     and the quadrature config, built once and reused for every iterate.
 
     Holds the two meshes of ``problem_meshes`` (as ``u.mesh``, ``v.mesh``),
-    the panel boundaries (the union of both grids, refined so every
+    the panel boundaries (the union grid of both, refined so every
     piece between impulse times has ``PANELS_PER_PIECE`` panels), the
     Gauss points and weights, and per component a :class:`_MeshPlan` with
     the Hermite gathers and weights at the Gauss points and the per-slot
@@ -352,8 +345,8 @@ class OperatorPlan:
         """Plan for (p, q) on the meshes of ``problem_meshes(p, q)``, built
         here, so each schedule is enumerated once per plan."""
         u_mesh, v_mesh = problem_meshes(p, q)
-        hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
-        boundaries = _refined_boundaries(np.union1d(u_mesh.grid, v_mesh.grid), hard)
+        grid, doubled = _union_grid(u_mesh, v_mesh)
+        boundaries = _refined_boundaries(grid, grid[doubled])
         spts, wts = _gauss_panels(boundaries)
         u = _MeshPlan.build(u_mesh, boundaries, spts)
         v = u if v_mesh.same_layout(u_mesh) else _MeshPlan.build(v_mesh, boundaries, spts)

@@ -22,7 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .fnspace import SolutionPair, _require_positive, constant_fn, norm_X, slot_sides
+from .fnspace import (SolutionPair, _require_positive, _union_grid, constant_fn, norm_X,
+                      slot_sides)
 from .model import ImpulsiveCoupledBVP
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
                        TruncationReport, _gauss_panels, apply_T, problem_meshes)
@@ -212,9 +213,9 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
 
 def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair):
     """(integral_{t0}^{H} f ds, integral_{t0}^{H} h ds) with the arguments
-    (s, u, v, u', v') on the union of both grids, from one evaluation of
-    u, v, u', v' at the Gauss points."""
-    spts, wts = _gauss_panels(np.union1d(s.u.mesh.grid, s.v.mesh.grid))
+    (s, u, v, u', v') on the union of both grids (``fnspace._union_grid``),
+    from one evaluation of u, v, u', v' at the Gauss points."""
+    spts, wts = _gauss_panels(_union_grid(s.u.mesh, s.v.mesh)[0])
     w = wts.T.ravel()
     args = _rhs_args(s, spts.T.ravel())  # time order
     return float((w * p.f(*args)).sum()), float((w * p.h(*args)).sum())

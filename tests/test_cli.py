@@ -76,6 +76,20 @@ def test_solve_manufactured_exit_zero_small_residuals(tmp_path):
     assert (2.0, "-") in sides and (2.0, "+") in sides
 
 
+def test_manufactured_rows_have_no_near_duplicates(tmp_path):
+    # the u grid is split at the impulse times 1 and 2, the v grid is one
+    # piece; their nodes one rounding apart give one row
+    out = tmp_path / "out"
+    assert _run_main(["solve", str(DEMO_PROBLEMS / "manufactured.json"),
+                      "--out-dir", str(out)]) == 0
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4003
+    t = np.array([float(r["t"]) for r in rows])
+    close = np.flatnonzero(np.diff(t) < 1e-12)
+    assert [(rows[i]["side"], rows[i + 1]["side"]) for i in close] == [("-", "+")] * 2
+
+
 def test_solve_distinct_component_schedules_in_csv(tmp_path):
     doc = {
         "boundary": {"A1": 0.0, "A2": 0.0, "B1": 0.0, "B2": 0.0},
@@ -447,9 +461,10 @@ MIXED_DOC = {
 def _side_rows_scalar(pair):
     """Reference: rows (t, side, u, u', v, v') over the union grid, one
     scalar evaluation per row and component."""
+    from impulsebvp.fnspace import _union_grid
     u, v = pair.u, pair.v
-    times = np.union1d(u.mesh.grid, v.mesh.grid)
-    jumps = np.union1d(u.mesh.impulse_times, v.mesh.impulse_times)
+    times, doubled = _union_grid(u.mesh, v.mesh)
+    jumps = times[doubled]
 
     def at(fn, t, side):
         if side == "+" and np.isin(t, fn.mesh.impulse_times):
@@ -524,7 +539,7 @@ def _flaky_rhs(fail_from=3, above=2.0037):
     calls = [0]
 
     def fn(t, x, y, z, w):
-        if t.size > 200:
+        if t.size != 200:
             calls[0] += 1
         out = 0.1 * np.exp(-t) * x
         return np.where(t > above, np.nan, out) if calls[0] >= fail_from else out
@@ -545,15 +560,16 @@ def test_rhs_failure_names_iteration_and_first_bad_point(tmp_path, monkeypatch, 
 
 def test_rhs_failure_in_blocks_names_iteration_and_first_bad_point(tmp_path, monkeypatch,
                                                                    capsys):
-    # the 71 panels run in two blocks of 35 and 36 (280 and 288 points), so
-    # f is called twice per application and its 5th call opens iteration 3;
-    # 2.0037 lies in the first panel of the second block
+    # the 50 panels run in five blocks of 10 (80 points), so f is called
+    # five times per application and its 11th call opens iteration 3;
+    # 2.0037 lies in the first panel of the third block
     import impulsebvp.operator as operator_module
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
-    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=5)
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 10)
+    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=11)
 
 
 def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
+    from impulsebvp.fnspace import _union_grid
     from impulsebvp.operator import (EvaluationError, QuadratureConfig, _gauss_panels,
                                      _refined_boundaries, problem_meshes)
     from impulsebvp.problemfile import RHS_REGISTRY, load_problem
@@ -574,9 +590,8 @@ def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     # reference: the same panels panel-major, whose flat order is time order
     p = load_problem(doc)
     qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
-    mu, mv = problem_meshes(p, qc)
-    boundaries = _refined_boundaries(np.union1d(mu.grid, mv.grid),
-                                     np.union1d(mu.impulse_times, mv.impulse_times))
+    grid, doubled = _union_grid(*problem_meshes(p, qc))
+    boundaries = _refined_boundaries(grid, grid[doubled])
     flat = _gauss_panels(boundaries)[0].T.ravel()
     want = flat[np.flatnonzero(flat > 2.0037)[0]]
     # the panel holding 2.0037 has good points before the first bad one, so

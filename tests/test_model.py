@@ -53,7 +53,6 @@ def test_schedule_explicit_points_validation():
         with pytest.raises(ValueError, match=r"points\[1\]"):
             ImpulseSchedule(points=(1.0, bad))
     s = ImpulseSchedule(points=(0.5, 1.5, 9.0))
-    assert s.point(2) == 1.5
     assert list(s.points_below(2.0)) == [0.5, 1.5]
     assert s.count_below(100.0) == 3
 

@@ -446,7 +446,6 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
     crit04 = _criterion04_problem()
     pend = build_pendulum_problem(PendulumParams())
     dense = _dense_impulse_problem(1)
-    on_node = []
     shared = []
     for p, spacing, radius in ((crit04, 0.02, 1.5), (pend, 0.01, 0.5), (dense, 0.01, 0.5)):
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
@@ -457,18 +456,14 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
             val, der = mp.interpolate(x)
             assert np.array_equal(val, x(flat))
             assert np.array_equal(der, x.deriv(flat))
-            on_node.append(mp.on_node.size)
             # the per-panel gathers read the grid interval of every Gauss
-            # point off the grid node: j_p = searchsorted(grid, flat) - 1
-            # (left_slot and right_slot are injective, so equal slots mean
-            # equal intervals)
+            # point: j_p = searchsorted(grid, flat) - 1 (left_slot and
+            # right_slot are injective, so equal slots mean equal intervals)
             grid = x.mesh.grid
-            off = np.ones(flat.size, dtype=bool)
-            off[mp.on_node] = False
-            j = np.searchsorted(grid, flat[off]) - 1
-            per_point = np.broadcast_to(mp.s_lo, plan.spts.shape).ravel()[off]
+            j = np.searchsorted(grid, flat) - 1
+            per_point = np.broadcast_to(mp.s_lo, plan.spts.shape).ravel()
             assert np.array_equal(per_point, x.mesh.right_slot[j])
-            per_point = np.broadcast_to(mp.s_hi, plan.spts.shape).ravel()[off]
+            per_point = np.broadcast_to(mp.s_hi, plan.spts.shape).ravel()
             assert np.array_equal(per_point, x.mesh.left_slot[j + 1])
             shared.append(int(np.sum(mp.s_lo[1:] == mp.s_lo[:-1])))
         with_plan, _ = apply_T(p, s, qc, plan)
@@ -476,10 +471,28 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
         for a, b in ((with_plan.u, without.u), (with_plan.v, without.v)):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.derivs, b.derivs)
-    # the criterion-04 panels put Gauss points exactly on grid nodes
-    assert on_node[0] > 0
     # the dense-impulse panels are refined: several per grid interval
     assert shared[4] > 0 and shared[5] > 0
+
+
+def test_no_gauss_point_lies_on_a_grid_node():
+    # the union merges grid nodes one rounding apart, so no panel is a
+    # rounding wide and every Gauss point lies off both meshes' grids
+    from impulsebvp.manufactured import manufactured_problem
+    from impulsebvp.operator import OperatorPlan
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    cases = ((_criterion04_problem(), 0.02, 2000),
+             (build_pendulum_problem(PendulumParams()), 0.01, None),
+             (_dense_impulse_problem(1), 0.01, None),
+             (_k2000_problem(), 0.01, None),
+             (manufactured_problem(), 0.01, 4000))
+    for p, spacing, npanels in cases:
+        plan = OperatorPlan.build(p, QuadratureConfig(horizon=40.0, mesh_spacing=spacing))
+        flat = plan.spts.ravel()
+        for mp in (plan.u, plan.v):
+            assert not np.isin(flat, mp.mesh.grid).any()
+        if npanels is not None:
+            assert plan.boundaries.size - 1 == npanels
 
 
 def test_foreign_meshes_rejected_with_and_without_plan():
@@ -651,31 +664,8 @@ def test_panel_sums_are_numpy_row_sums():
             assert np.array_equal(C1, np.concatenate(([0.0], np.cumsum(want1))))
 
 
-def test_on_node_points_are_the_searchsorted_hits():
-    # the plan finds on-node Gauss points against its panel's own interval;
-    # the reference searches every point in the whole grid
-    from impulsebvp.operator import OperatorPlan
-    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
-    cases = ((_criterion04_problem(), 0.02, (1856, 136)),
-             (build_pendulum_problem(PendulumParams()), 0.01, (0, 0)),
-             (_dense_impulse_problem(1), 0.01, (0, 0)),
-             (_k2000_problem(), 0.01, (0, 0)))
-    for p, spacing, hits in cases:
-        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
-        plan = OperatorPlan.build(p, qc)
-        flat = plan.spts.ravel()
-        for mp, n in zip((plan.u, plan.v), hits):
-            grid = mp.mesh.grid
-            pos = np.searchsorted(grid, flat, side="left")
-            want = np.flatnonzero(grid[np.minimum(pos, grid.size - 1)] == flat)
-            assert np.array_equal(mp.on_node, want)
-            assert np.array_equal(mp.node_slot, mp.mesh.left_slot[pos[want]])
-            assert want.size == n
-
-
 def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
-    # the criterion-04 plan has 1 856 + 136 Gauss points on grid nodes,
-    # which small blocks split at every possible offset
+    # small blocks split both plans at every possible panel offset
     import impulsebvp.operator as operator_module
     from impulsebvp.audit import sample_ball_pair
     from impulsebvp.operator import BLOCK_PANELS, OperatorPlan, _blocks

@@ -426,8 +426,9 @@ def test_ode_residual_matches_the_per_piece_loop():
 def _plain_rhs_integral_two_pass(rhs, s):
     """Reference: one integral per right-hand side, each with its own
     panels and its own evaluation of u, v, u', v'."""
+    from impulsebvp.fnspace import _union_grid
     from impulsebvp.operator import _gauss_panels
-    boundaries = np.union1d(s.u.mesh.grid, s.v.mesh.grid)
+    boundaries = _union_grid(s.u.mesh, s.v.mesh)[0]
     spts, wts = _gauss_panels(boundaries)
     flat = spts.T.ravel()
     vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
@@ -495,3 +496,24 @@ def test_truncated_impulsive_solution_matches_its_closed_form(horizon, mesh_spac
             deriv = slope - (1.0 + t) ** -2 + (past * jumps).sum(axis=1)
             assert np.max(np.abs(x.values[slot] - value)) <= 1e-12
             assert np.max(np.abs(x.derivs[slot] - deriv)) <= 1e-12
+
+
+def test_impulse_times_one_rounding_apart_both_stay():
+    # u jumps at 1, v one rounding later: the union grid keeps both impulse
+    # times, the one exception to its merge rule
+    from impulsebvp.fnspace import _union_grid
+    from impulsebvp.operator import problem_meshes
+    later = np.nextafter(1.0, 2.0)
+    p = simple_problem(f=RHS_REGISTRY["decaying_sin_state"](),
+                       h=RHS_REGISTRY["linear_state_decay"](c0=0.2, cx=0.1, cz=-0.3),
+                       boundary=(1.0, 0.0, 0.5, 0.25),
+                       u_schedule=ImpulseSchedule(points=(1.0,)),
+                       v_schedule=ImpulseSchedule(points=(later,)),
+                       I0=ImpulseMap(lambda pp, a, b: 0.1 + 0.0 * a, name="tenth"),
+                       J1=ImpulseMap(lambda pp, a, b: 0.05 + 0.0 * b, name="twentieth"))
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
+    grid, doubled = _union_grid(*problem_meshes(p, qc))
+    assert grid[doubled].tolist() == [1.0, later]
+    pair, diag = solve(p, SolverConfig(), qc)
+    assert diag.converged
+    assert max(verify_residuals(p, pair).jump_residual_sup) <= 1e-15
