@@ -30,7 +30,7 @@ from .problemfile import load_problem, load_problem_file
 from .solver import (ResidualReport, SolveDiagnostics, SolverConfig,
                      initial_pair, solve, verify_residuals)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BoundaryData", "CaratheodoryBounds", "EvaluationError",

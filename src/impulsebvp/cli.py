@@ -156,8 +156,8 @@ def _write_manifest(out, args, qc=None, sc=None):
 
 def _side_rows(pair):
     """Columns (t, side, u, u', v, v') over the slots of the pair's union
-    mesh: the union grid, ascending, with a '-' row then a '+' row at every
-    impulse time of either component.
+    mesh: the union grid (the one grid of ``problem_meshes``), ascending,
+    with a '-' row then a '+' row at every impulse time of either component.
 
     A component that jumps at a '+' row's time reports its right-slot
     values there; every other row is the left-continuous evaluation."""

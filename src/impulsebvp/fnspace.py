@@ -271,7 +271,9 @@ class PiecewiseC1Function:
 
 @dataclass(frozen=True)
 class SolutionPair:
-    """The pair (u, v); components share t0 and horizon, not the doubling."""
+    """The pair (u, v).  The components share t0 and horizon; on the meshes
+    of ``operator.problem_meshes`` they share the grid too, and each is
+    doubled only at its own impulse times."""
 
     u: PiecewiseC1Function
     v: PiecewiseC1Function
@@ -348,27 +350,56 @@ def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     return vals, ders
 
 
+def _node_mask(grid, times):
+    """The mask of ``grid`` (ascending) that marks ``times``, which are
+    nodes of it."""
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[np.searchsorted(grid, times)] = True
+    return mask
+
+
+def _merge_close(points, fixed):
+    """The mask of ascending ``points`` to keep when two points one rounding
+    apart are one point: of such a pair the ``fixed`` one stays, else the
+    left one; two fixed points both stay."""
+    close = np.diff(points) <= np.spacing(points[1:])
+    return fixed | ~(np.append(False, close) | np.append(close & fixed[1:], False))
+
+
 def _union_grid(a: Mesh, b: Mesh):
     """(grid, doubled): the union of two meshes' grids and the mask of its
     nodes that are an impulse time of either.  Two nodes one rounding
     apart are one node: of such a pair the impulse time is kept (and the
-    domain end), else the left one; two impulse times both stay."""
+    domain end), else the left one; two impulse times both stay.  The two
+    meshes of ``operator.problem_meshes`` have one grid, which this returns
+    as it is."""
     grid = np.union1d(a.grid, b.grid)
-    doubled = np.zeros(grid.size, dtype=bool)
-    doubled[np.searchsorted(grid, np.union1d(a.impulse_times, b.impulse_times))] = True
+    doubled = _node_mask(grid, np.union1d(a.impulse_times, b.impulse_times))
     fixed = doubled.copy()
     fixed[[0, -1]] = True
-    close = np.diff(grid) <= np.spacing(grid[1:])
-    keep = fixed | ~(np.append(False, close) | np.append(close & fixed[1:], False))
+    keep = _merge_close(grid, fixed)
     return grid[keep], doubled[keep]
+
+
+def _mesh_on_grid(grid, knots) -> Mesh:
+    """The mesh on ``grid`` doubled at the grid indices ``knots`` (ascending)."""
+    hi = knots + np.arange(1, knots.size + 1)  # the right slots
+    keep = np.ones(grid.size + knots.size, dtype=bool)
+    keep[hi] = False
+    left_slot = np.flatnonzero(keep)
+    right_slot = left_slot.copy()
+    right_slot[knots] = hi
+    nodes = np.empty(keep.size)
+    nodes[left_slot] = grid
+    nodes[hi] = grid[knots]
+    return Mesh(nodes=nodes, grid=grid, left_slot=left_slot, right_slot=right_slot,
+                impulse_times=grid[knots])
 
 
 def _union_mesh(a: Mesh, b: Mesh) -> Mesh:
     """The mesh on :func:`_union_grid`, doubled at either one's impulse times."""
     grid, doubled = _union_grid(a, b)
-    left_slot = np.arange(grid.size) + np.cumsum(doubled) - doubled
-    return Mesh(nodes=np.repeat(grid, 1 + doubled), grid=grid, left_slot=left_slot,
-                right_slot=left_slot + doubled, impulse_times=grid[doubled])
+    return _mesh_on_grid(grid, np.flatnonzero(doubled))
 
 
 def difference_norm(sa: SolutionPair, sb: SolutionPair) -> float:

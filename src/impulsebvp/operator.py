@@ -20,21 +20,22 @@ slot is literally left slot + jump), never through quadrature.  Impulse
 times at or below the working-domain start t0 have no representable left
 side and are excluded from all sums.
 
-Everything that depends only on the problem and the quadrature config
-lives in an :class:`OperatorPlan`: the meshes of ``problem_meshes``, the
-panel boundaries, Gauss points and weights, per mesh and panel the two
-slots whose Hermite data the panel interpolates, the cubic Hermite
-weights at every Gauss point, and the slot bookkeeping of the assembly.
+Both meshes of ``problem_meshes`` lie on one grid, split at the impulse
+times of either component, so every impulsive moment of u or v is a node
+of both, where the coupled right-hand side may break both second
+derivatives; each mesh is doubled only at its own component's impulse
+times.  Everything that depends only on the problem and the quadrature
+config lives in an :class:`OperatorPlan`: the two meshes, the panel
+boundaries, Gauss points and weights, per panel the grid interval it
+lies in and the cubic Hermite weights at its Gauss points (once, for
+both components), per mesh and panel the two slots whose Hermite data
+the panel interpolates, and the slot bookkeeping of the assembly.
 ``solve`` and the ball-invariance audit build one plan and pass it to
 every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
 call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
 (``_hermite_weights`` and ``_hermite_combine``): the plan stores the
 weights, point evaluation recomputes them, and both combine them in one
-function, so the two paths agree bit for bit by construction.  The union
-grid of ``fnspace._union_grid`` merges nodes one rounding apart, so no
-panel a rounding wide puts Gauss points on a grid node, where point
-evaluation reads a slot; only two impulse times of different components
-one rounding apart both stay, and the panel between them does.
+function, so the two paths agree bit for bit by construction.
 
 Gauss points and weights have one layout, that of ``_gauss_panels``:
 Gauss-major, C-contiguous (GAUSS_ORDER, npanels), one row per Gauss node,
@@ -60,7 +61,7 @@ into full-length rows, and the cumulative sums, the assembly and the
 tails run once on those rows.  Every step is elementwise per point or
 per panel, so the outputs do not depend on the block size.  The size
 keeps every per-point temporary at 256 KiB or less.  A whole-plan pass
-over the 66 344 points of a 400 + 160 impulse problem pushes several MB
+over the 35 328 points of a 400 + 160 impulse problem pushes several MB
 of temporaries through the C heap per call, which hands them back to the
 system and faults them in again: a solve of that problem in one block
 takes about 3x the minor page faults and 1.3x the time it takes in blocks
@@ -80,8 +81,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
-                      _hermite_weights, _require_positive, _union_grid, build_mesh,
-                      norm_X)
+                      _hermite_weights, _merge_close, _mesh_on_grid, _node_mask,
+                      _require_positive, build_mesh, norm_X)
 from .kernel import green
 from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
@@ -169,13 +170,12 @@ class TruncationReport:
 
 
 def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
-    """The (u, v) meshes the operator works on: doubled at each component's
-    schedule points inside (t0, horizon)."""
-    mu = build_mesh(p.t0, q.horizon, p.u_schedule.points_between(p.t0, q.horizon),
-                    q.mesh_spacing)
-    mv = build_mesh(p.t0, q.horizon, p.v_schedule.points_between(p.t0, q.horizon),
-                    q.mesh_spacing)
-    return mu, mv
+    """The (u, v) meshes the operator works on: one grid, split at the
+    schedule points of both components inside (t0, horizon), each mesh
+    doubled only at its own component's."""
+    pts = [x.points_between(p.t0, q.horizon) for x in (p.u_schedule, p.v_schedule)]
+    grid = build_mesh(p.t0, q.horizon, np.union1d(*pts), q.mesh_spacing).grid
+    return tuple(_mesh_on_grid(grid, np.searchsorted(grid, x)) for x in pts)
 
 
 def _gauss_panels(breaks):
@@ -190,14 +190,16 @@ def _gauss_panels(breaks):
 
 def _refined_boundaries(grid, hard):
     """Panel boundaries: the given grid, with every piece between hard
-    breakpoints holding at least ``PANELS_PER_PIECE`` panels."""
+    breakpoints holding at least ``PANELS_PER_PIECE`` panels.  A
+    refinement point one rounding from a grid node is that node."""
     pieces = np.unique(np.concatenate(([grid[0]], hard, [grid[-1]])))
     a, b = pieces[:-1], pieces[1:]
     inside = (np.searchsorted(grid, b, side="left")
               - np.searchsorted(grid, a, side="right"))
     short = inside + 1 < PANELS_PER_PIECE
     extra = np.linspace(a[short], b[short], PANELS_PER_PIECE + 1)
-    return np.union1d(grid, extra.ravel())
+    points = np.union1d(grid, extra.ravel())
+    return points[_merge_close(points, _node_mask(points, grid))]
 
 
 def _geometric_tail(chunks):
@@ -255,20 +257,42 @@ def _impulse_tail(q, schedule, tail0, tail1, c_abs, in_ball):
 
 
 @dataclass(frozen=True, eq=False)
+class _Intervals:
+    """Per quadrature panel, the grid interval it lies in and the Hermite
+    weights there: the interpolation data both components share, built
+    once per plan.
+
+    Every panel lies inside one grid interval, j, of length ``h``; the
+    panel's midpoint ``mid`` locates it.  ``weights`` holds the seven
+    arrays of :func:`fnspace._hermite_weights` at the panel's Gauss points,
+    Gauss-major (GAUSS_ORDER, npanels) like the plan's Gauss points.
+    """
+
+    mid: np.ndarray
+    j: np.ndarray
+    h: np.ndarray
+    weights: tuple
+
+    @staticmethod
+    def build(grid, boundaries, spts):
+        # a panel lies in one grid interval up to a node merged into its end
+        # (on a union of two grids), so its midpoint finds that interval (the
+        # midpoint of a panel a rounding wide may round onto the horizon)
+        mid = 0.5 * (boundaries[1:] + boundaries[:-1])
+        j = np.minimum(np.searchsorted(grid, mid, side="right") - 1, grid.size - 2)
+        x0 = grid[j]
+        h = grid[j + 1] - x0
+        return _Intervals(mid=mid, j=j, h=h,
+                          weights=tuple(_hermite_weights((spts - x0) / h, h)))
+
+
+@dataclass(frozen=True, eq=False)
 class _MeshPlan:
     """What one component's mesh contributes to the operator, per problem.
 
-    Every quadrature panel lies inside one grid interval of the mesh (the
-    panel boundaries contain the union grid), so the Hermite data of panel
-    i is read from the two slots ``s_lo[i]`` (right slot of grid node j)
-    and ``s_hi[i]`` (left slot of grid node j+1), with interval length
-    ``h[i]``; the panel's midpoint locates j.  The union merges grid nodes
-    one rounding apart but keeps two impulse times one rounding apart: the
-    Gauss points of the panel between them round onto them and read the
-    interpolant there, not the left slot.  The cubic Hermite weights at
-    the panel's Gauss points are fixed by the plan: ``weights`` holds the
-    seven arrays of :func:`fnspace._hermite_weights`, Gauss-major
-    (GAUSS_ORDER, npanels) like the plan's Gauss points, and
+    Panel i reads its Hermite data from this mesh's two slots ``s_lo[i]``
+    (right slot of grid node j) and ``s_hi[i]`` (left slot of grid node
+    j+1), with j and the weights from the shared ``intervals``;
     ``interpolate`` combines them with :func:`fnspace._hermite_combine`,
     the kernel point evaluation uses.
     Per slot, ``panel`` indexes the panel boundary nearest its time (the
@@ -278,30 +302,21 @@ class _MeshPlan:
     """
 
     mesh: Mesh
+    intervals: _Intervals
     s_lo: np.ndarray
     s_hi: np.ndarray
-    h: np.ndarray
-    weights: tuple
     panel: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     cnt: np.ndarray
 
     @staticmethod
-    def build(mesh, boundaries, spts):
-        grid = mesh.grid
-        # a panel lies in one grid interval up to a node merged into its
-        # end, so its midpoint finds that interval (the midpoint of a panel
-        # a rounding wide may round onto the horizon)
-        mid = 0.5 * (boundaries[1:] + boundaries[:-1])
-        j = np.minimum(np.searchsorted(grid, mid, side="right") - 1, grid.size - 2)
-        x0 = grid[j]
-        h = grid[j + 1] - x0
+    def build(mesh, intervals):
+        j = intervals.j
         knot = mesh.doubled_nodes()
         return _MeshPlan(
-            mesh=mesh, s_lo=mesh.right_slot[j], s_hi=mesh.left_slot[j + 1], h=h,
-            weights=tuple(_hermite_weights((spts - x0) / h, h)),
-            panel=np.searchsorted(mid, mesh.nodes),
+            mesh=mesh, intervals=intervals, s_lo=mesh.right_slot[j],
+            s_hi=mesh.left_slot[j + 1], panel=np.searchsorted(intervals.mid, mesh.nodes),
             lo=mesh.left_slot[knot], hi=mesh.right_slot[knot],
             cnt=np.searchsorted(mesh.impulse_times, mesh.nodes, side="left"))
 
@@ -311,7 +326,8 @@ class _MeshPlan:
         ``x.deriv(flat)`` compute them at every Gauss point off a grid node."""
         cols = slice(a, b)
         s_lo, s_hi = self.s_lo[cols], self.s_hi[cols]
-        val, der = _hermite_combine((w[:, cols] for w in self.weights), self.h[cols],
+        val, der = _hermite_combine((w[:, cols] for w in self.intervals.weights),
+                                    self.intervals.h[cols],
                                     x.values[s_lo], x.values[s_hi],
                                     x.derivs[s_lo], x.derivs[s_hi])
         return val.ravel(), der.ravel()
@@ -323,13 +339,12 @@ class OperatorPlan:
     and the quadrature config, built once and reused for every iterate.
 
     Holds the two meshes of ``problem_meshes`` (as ``u.mesh``, ``v.mesh``),
-    the panel boundaries (the union grid of both, refined so every
-    piece between impulse times has ``PANELS_PER_PIECE`` panels), the
-    Gauss points and weights, and per component a :class:`_MeshPlan` with
-    the Hermite gathers and weights at the Gauss points and the per-slot
-    bookkeeping of the assembly (panel index, impulse count, and the
-    impulse slots, read off the mesh's doubled nodes).  When both meshes
-    have the same layout, ``u`` and ``v`` are one object.
+    the panel boundaries (their one grid, refined so every piece between
+    impulse times of either component has ``PANELS_PER_PIECE`` panels),
+    the Gauss points and weights, and per component a :class:`_MeshPlan`
+    with the Hermite gathers and the per-slot bookkeeping of the assembly
+    (panel index, impulse count, and the impulse slots, read off the
+    mesh's doubled nodes).  Both share one :class:`_Intervals`.
     """
 
     problem: ImpulsiveCoupledBVP
@@ -345,13 +360,13 @@ class OperatorPlan:
         """Plan for (p, q) on the meshes of ``problem_meshes(p, q)``, built
         here, so each schedule is enumerated once per plan."""
         u_mesh, v_mesh = problem_meshes(p, q)
-        grid, doubled = _union_grid(u_mesh, v_mesh)
-        boundaries = _refined_boundaries(grid, grid[doubled])
+        hard = np.union1d(u_mesh.impulse_times, v_mesh.impulse_times)
+        boundaries = _refined_boundaries(u_mesh.grid, hard)
         spts, wts = _gauss_panels(boundaries)
-        u = _MeshPlan.build(u_mesh, boundaries, spts)
-        v = u if v_mesh.same_layout(u_mesh) else _MeshPlan.build(v_mesh, boundaries, spts)
+        intervals = _Intervals.build(u_mesh.grid, boundaries, spts)
         return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
-                            wts=wts, u=u, v=v)
+                            wts=wts, u=_MeshPlan.build(u_mesh, intervals),
+                            v=_MeshPlan.build(v_mesh, intervals))
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""

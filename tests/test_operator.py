@@ -475,9 +475,70 @@ def test_plan_interpolation_is_bitwise_the_function_evaluation():
     assert shared[4] > 0 and shared[5] > 0
 
 
+def _registry_schedule_problems():
+    """Problems whose u and v schedules are each pair of schedule registry
+    entries, u first."""
+    import itertools
+    from impulsebvp.problemfile import SCHEDULE_REGISTRY, load_problem
+    params = {"integers": {}, "arithmetic": {"start": 0.35, "step": 1.3}}
+    assert sorted(params) == sorted(SCHEDULE_REGISTRY)
+    for u_rule, v_rule in itertools.product(sorted(params), repeat=2):
+        yield load_problem({
+            "boundary": {"A1": 1.0, "A2": 0.5, "B1": 0.5, "B2": 0.25},
+            "impulses": {x: {"schedule": {"rule": rule, **params[rule]}}
+                         for x, rule in (("u", u_rule), ("v", v_rule))}})
+
+
+def test_problem_meshes_share_one_grid():
+    # one grid, split at both schedules; each mesh doubled at its own times
+    from pathlib import Path
+    from impulsebvp.fnspace import _union_grid
+    from impulsebvp.problemfile import load_problem_file
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos" / "problems").glob("*.json"))
+    problems = [load_problem_file(path) for path in demos]
+    problems += [_dense_impulse_problem(1), *_registry_schedule_problems()]
+    assert len(problems) == 8
+    qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.01)
+    for p in problems:
+        mu, mv = problem_meshes(p, qc)
+        assert np.array_equal(mu.grid, mv.grid)
+        for mesh, schedule in ((mu, p.u_schedule), (mv, p.v_schedule)):
+            want = schedule.points_between(p.t0, qc.horizon)
+            assert np.array_equal(mesh.impulse_times, want)
+            assert np.array_equal(mesh.grid[mesh.doubled_nodes()], want)
+        # the union of the two meshes is their grid, unchanged
+        grid, doubled = _union_grid(mu, mv)
+        assert np.array_equal(grid, mu.grid)
+        assert np.array_equal(grid[doubled], np.union1d(mu.impulse_times, mv.impulse_times))
+
+
+def test_dense_impulse_plan_has_one_grid_of_panels():
+    # 400 u-only and 160 v-only impulse times: one grid, not two offset ones
+    from impulsebvp.operator import OperatorPlan
+    plan = OperatorPlan.build(_dense_impulse_problem(1),
+                              QuadratureConfig(horizon=40.0, mesh_spacing=0.01))
+    assert plan.boundaries.size - 1 <= 4500
+
+
+def test_u_deriv_at_v_impulse_times_matches_a_refined_solve():
+    # v's impulse times are nodes of u's mesh, so u' there is not read off a
+    # Hermite interpolant spanning the kink of u'' that v's jump makes
+    from impulsebvp.solver import SolverConfig, solve
+    p = _dense_impulse_problem(1)
+    derivs = []
+    for spacing in (0.01, 0.005):
+        pair, diag = solve(p, SolverConfig(tol=1e-12),
+                           QuadratureConfig(horizon=40.0, mesh_spacing=spacing))
+        assert diag.converged
+        v_times = pair.v.mesh.impulse_times
+        assert np.setdiff1d(v_times, pair.u.mesh.impulse_times).size == 160
+        derivs.append(pair.u.deriv(v_times))
+    assert np.max(np.abs(derivs[0] - derivs[1])) <= 1e-10
+
+
 def test_no_gauss_point_lies_on_a_grid_node():
-    # the union merges grid nodes one rounding apart, so no panel is a
-    # rounding wide and every Gauss point lies off both meshes' grids
+    # the panels refine the one grid of both meshes, and none is a rounding
+    # wide, so every Gauss point lies off both meshes' grids
     from impulsebvp.manufactured import manufactured_problem
     from impulsebvp.operator import OperatorPlan
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
@@ -537,7 +598,8 @@ def test_schedules_are_enumerated_once_per_solve_and_per_ball_audit(monkeypatch)
     assert calls == [p.u_schedule, p.v_schedule]
 
 
-def test_build_mesh_runs_twice_per_solve_and_per_ball_audit(monkeypatch):
+def test_meshes_are_built_once_per_solve_and_per_ball_audit(monkeypatch):
+    # problem_meshes builds the one grid of both meshes with one build_mesh
     import impulsebvp.operator as operator_module
     from impulsebvp.audit import check_ball_invariance
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
@@ -553,12 +615,12 @@ def test_build_mesh_runs_twice_per_solve_and_per_ball_audit(monkeypatch):
     p = build_pendulum_problem(PendulumParams())
     qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.05)
     solve(p, SolverConfig(max_iter=4), qc)
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     tested, _ = check_ball_invariance(p, p.bounds, 1.0, qc, samples=4, seed=0,
                                       sample_radius=0.5)
     assert tested == 4
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_operator_matches_the_pointwise_representation():
@@ -579,22 +641,22 @@ def test_operator_matches_the_pointwise_representation():
             assert abs(out(t) - want) <= 1e-11
 
 
-def test_plan_shares_one_mesh_plan_between_identical_meshes():
+def test_plan_shares_the_panel_intervals_between_components():
     from impulsebvp.audit import sample_ball_pair
-    from impulsebvp.operator import OperatorPlan, _MeshPlan
+    from impulsebvp.operator import OperatorPlan, _Intervals, _MeshPlan
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
     pend = build_pendulum_problem(PendulumParams())
-    for p, shared in ((pend, True), (_criterion04_problem(), False)):
+    for p in (pend, _criterion04_problem()):
         qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
         s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(5),
                              u_floor=p.bounds.u_floor if p.bounds else None)
         plan = OperatorPlan.build(p, qc)
-        assert (plan.v is plan.u) == shared
+        assert plan.v.intervals is plan.u.intervals
         image, _ = apply_T(p, s, qc, plan)
         # outputs live on the iterate's own meshes
         assert image.u.mesh is s.u.mesh and image.v.mesh is s.v.mesh
         separate = dataclasses.replace(plan, v=_MeshPlan.build(
-            s.v.mesh, plan.boundaries, plan.spts))
+            s.v.mesh, _Intervals.build(s.v.mesh.grid, plan.boundaries, plan.spts)))
         again, _ = apply_T(p, s, qc, separate)
         for a, b in ((image.u, again.u), (image.v, again.v)):
             assert np.array_equal(a.values, b.values)
@@ -615,9 +677,9 @@ def test_plan_arrays_have_one_row_per_gauss_node():
     spts, wts = mid[:, None] + half[:, None] * xg[None, :], half[:, None] * wg[None, :]
     assert np.array_equal(plan.spts, spts.T) and np.array_equal(plan.wts, wts.T)
     for mp in (plan.u, plan.v):
-        for a in (plan.spts, plan.wts, *mp.weights):
+        for a in (plan.spts, plan.wts, *mp.intervals.weights):
             assert a.shape == (GAUSS_ORDER, npanels) and a.flags.c_contiguous
-        for a in (mp.s_lo, mp.s_hi, mp.h):
+        for a in (mp.s_lo, mp.s_hi, mp.intervals.h):
             assert a.shape == (npanels,)
 
 
@@ -683,9 +745,9 @@ def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
                 assert np.array_equal(a.values, b.values)
                 assert np.array_equal(a.derivs, b.derivs)
             assert report == ref_report
-    # the dense-impulse plan runs in three blocks at the default size
+    # blocks of 2 048 panels split the dense-impulse plan into three
     npanels = plan.boundaries.size - 1
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", BLOCK_PANELS)
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 2048)
     sizes = [b - a for a, b in _blocks(npanels)]
     assert len(sizes) == 3 and sum(sizes) == npanels
     assert max(sizes) - min(sizes) <= 1

@@ -498,11 +498,8 @@ def test_truncated_impulsive_solution_matches_its_closed_form(horizon, mesh_spac
             assert np.max(np.abs(x.derivs[slot] - deriv)) <= 1e-12
 
 
-def test_impulse_times_one_rounding_apart_both_stay():
-    # u jumps at 1, v one rounding later: the union grid keeps both impulse
-    # times, the one exception to its merge rule
-    from impulsebvp.fnspace import _union_grid
-    from impulsebvp.operator import problem_meshes
+def _one_rounding_problem():
+    """(problem, config, later): u jumps at 1, v one rounding later."""
     later = np.nextafter(1.0, 2.0)
     p = simple_problem(f=RHS_REGISTRY["decaying_sin_state"](),
                        h=RHS_REGISTRY["linear_state_decay"](c0=0.2, cx=0.1, cz=-0.3),
@@ -511,9 +508,30 @@ def test_impulse_times_one_rounding_apart_both_stay():
                        v_schedule=ImpulseSchedule(points=(later,)),
                        I0=ImpulseMap(lambda pp, a, b: 0.1 + 0.0 * a, name="tenth"),
                        J1=ImpulseMap(lambda pp, a, b: 0.05 + 0.0 * b, name="twentieth"))
-    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
+    return p, QuadratureConfig(horizon=10.0, mesh_spacing=0.1), later
+
+
+def test_impulse_times_one_rounding_apart_both_stay():
+    # u jumps at 1, v one rounding later: the union grid keeps both impulse
+    # times, the one exception to its merge rule
+    from impulsebvp.fnspace import _union_grid
+    from impulsebvp.operator import problem_meshes
+    p, qc, later = _one_rounding_problem()
     grid, doubled = _union_grid(*problem_meshes(p, qc))
     assert grid[doubled].tolist() == [1.0, later]
     pair, diag = solve(p, SolverConfig(), qc)
     assert diag.converged
     assert max(verify_residuals(p, pair).jump_residual_sup) <= 1e-15
+
+
+def test_impulse_times_one_rounding_apart_are_the_only_close_nodes():
+    # on one grid the two impulse times are the only nodes closer than
+    # 1e-12, in the meshes, the union the writer prints and the plan's panels
+    from impulsebvp.fnspace import _union_mesh
+    from impulsebvp.operator import OperatorPlan, problem_meshes
+    p, qc, later = _one_rounding_problem()
+    mu, mv = problem_meshes(p, qc)
+    for grid in (mu.grid, mv.grid, _union_mesh(mu, mv).grid,
+                 OperatorPlan.build(p, qc).boundaries):
+        gap = np.flatnonzero(np.diff(grid) < 1e-12)
+        assert grid[gap].tolist() == [1.0] and grid[gap + 1].tolist() == [later]
