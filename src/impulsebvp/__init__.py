@@ -20,7 +20,7 @@ from .kernel import boundary_weight_sup, green, kernel_weight_sup
 from .manufactured import manufactured_problem
 from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
                     ImpulsiveCoupledBVP, RhsFunction, ValidationReport,
-                    validate_problem)
+                    staged, validate_problem)
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
                        TruncationReport, apply_T, impulse_sums, problem_meshes,
                        semiinfinite_integral)
@@ -48,5 +48,6 @@ __all__ = [
     "manufactured_problem", "norm_X", "norm_deriv_sup", "norm_weighted_sup",
     "pair_lincomb", "pendulum_bound_Phi", "pendulum_bound_Psi",
     "problem_meshes", "run_audit", "sample_ball_pair",
-    "semiinfinite_integral", "solve", "validate_problem", "verify_residuals",
+    "semiinfinite_integral", "solve", "staged", "validate_problem",
+    "verify_residuals",
 ]

@@ -14,7 +14,7 @@ the instance is the ground-truth oracle for solver and residual tests.
 import numpy as np
 
 from .model import (BoundaryData, ImpulseMap, ImpulseSchedule,
-                    ImpulsiveCoupledBVP, RhsFunction)
+                    ImpulsiveCoupledBVP, RhsFunction, staged)
 
 __all__ = ["manufactured_problem", "u_exact", "u_exact_deriv",
            "v_exact", "v_exact_deriv"]
@@ -48,7 +48,11 @@ def v_exact_deriv(t):
 
 
 def manufactured_problem() -> ImpulsiveCoupledBVP:
-    exp_decay = lambda t, x, y, z, w: np.exp(-t)
+    def at(t):
+        e = np.exp(-t)
+        return lambda x, y, z, w: e
+
+    exp_decay = staged(at)
 
     def jump_value(p, a, b):
         return np.where(np.asarray(p) == 1.0, JUMP_VALUE_AT_1, 0.0)

@@ -30,6 +30,7 @@ __all__ = [
     "ImpulseMap",
     "ImpulsiveCoupledBVP",
     "ValidationReport",
+    "staged",
     "validate_problem",
 ]
 
@@ -46,14 +47,20 @@ class _ScheduleOrderError(ValueError):
                          f"{value!r} does not exceed rule({k - 1}) = {prev!r}")
 
 
+def _read_only(a):
+    """A read-only view of the array a."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 def _pointwise(fn, lead, *rest):
     """fn(lead, *rest) on read-only float arrays of lead's shape; a callable
     that cannot take arrays, or that writes into them, runs point by point."""
     shape = np.shape(lead)
     args = [np.asarray(a, dtype=float) for a in (lead, *rest)]
-    args = [a.view() if a.shape == shape else np.broadcast_to(a, shape) for a in args]
-    for a in args:
-        a.flags.writeable = False
+    # a broadcast view is read-only already
+    args = [_read_only(a) if a.shape == shape else np.broadcast_to(a, shape) for a in args]
     try:
         out = np.asarray(fn(*args), dtype=float)
         if out.shape == shape:
@@ -74,6 +81,29 @@ def _first_nonfinite(*arrays, rank=None):
     return int(i[0] if rank is None else i[np.argmin(rank(i))])
 
 
+def staged(at):
+    """The right-hand side fn(t, x, y, z, w) = at(t)(x, y, z, w), which keeps
+    ``at`` as ``fn.at``.
+
+    ``at(t)`` does the work that depends on the times alone and returns
+    g(x, y, z, w), which takes arrays of t's shape.  Through ``fn.at`` the
+    operator plan stages ``fn`` once at its fixed Gauss points and calls
+    only g per application; a full call does both steps, so both give the
+    same bits.  For example, e^{-t} sin(u) as a staged right-hand side::
+
+        def at(t):
+            e = np.exp(-t)
+            return lambda x, y, z, w: e * np.sin(x)
+
+        f = RhsFunction(staged(at), name="decaying-sin")
+    """
+    def fn(t, x, y, z, w):
+        return at(t)(x, y, z, w)
+
+    fn.at = at
+    return fn
+
+
 @dataclass(frozen=True)
 class RhsFunction:
     """Right-hand side g(t, x, y, z, w) with (x,y,z,w) = (u, v, u', v').
@@ -82,10 +112,15 @@ class RhsFunction:
     take arrays, or that writes into them, is looped over point by point.
     The points arrive in no particular time order (the operator passes its
     quadrature points Gauss-major), so ``fn`` must be pointwise: its value
-    at a point depends only on that point's arguments.  It may be called
-    more than once per operator application, on disjoint sets of points
-    (one call per block of quadrature panels).  ``name`` identifies it in
-    error messages, and names the registry entry of a problem file.
+    at a point depends only on that point's arguments.  ``name``
+    identifies it in error messages, and names the registry entry of a
+    problem file.
+
+    The operator evaluates ``fn`` through :meth:`at`, once per block of
+    quadrature panels per application, at times fixed by its plan.  A
+    ``fn`` written with :func:`staged` computes its time-only factors (a
+    1/t^3 weight, an e^{-rate t} decay) once per plan; any other ``fn`` is
+    called in full on every block, as above.
     """
 
     fn: Callable
@@ -93,6 +128,16 @@ class RhsFunction:
 
     def __call__(self, t, x, y, z, w):
         return _pointwise(self.fn, t, x, y, z, w)
+
+    def at(self, t):
+        """g(x, y, z, w) = self(t, x, y, z, w) at the fixed times ``t``, for
+        x, y, z, w of t's shape; a :func:`staged` ``fn`` does its
+        time-only work here, once, on read-only times."""
+        stage = getattr(self.fn, "at", None)
+        if stage is None:
+            return lambda x, y, z, w: self(t, x, y, z, w)
+        g = stage(_read_only(np.asarray(t, dtype=float)))
+        return lambda x, y, z, w: _pointwise(g, x, y, z, w)
 
 
 @dataclass(frozen=True)

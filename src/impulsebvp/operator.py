@@ -24,12 +24,15 @@ Both meshes of ``problem_meshes`` lie on one grid, split at the impulse
 times of either component, so every impulsive moment of u or v is a node
 of both, where the coupled right-hand side may break both second
 derivatives; each mesh is doubled only at its own component's impulse
-times.  Everything that depends only on the problem and the quadrature
+times, and when both components jump at the same times they share one
+mesh.  Everything that depends only on the problem and the quadrature
 config lives in an :class:`OperatorPlan`: the two meshes, the panel
 boundaries, Gauss points and weights, per panel the grid interval it
 lies in and the cubic Hermite weights at its Gauss points (once, for
 both components), per mesh and panel the two slots whose Hermite data
-the panel interpolates, and the slot bookkeeping of the assembly.
+the panel interpolates (once, for a shared mesh), the slot bookkeeping
+of the assembly, and the block layout below with f and h staged at each
+block's Gauss points (``RhsFunction.at``).
 ``solve`` and the ball-invariance audit build one plan and pass it to
 every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
 call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
@@ -50,14 +53,19 @@ point in time order.  The integrators that sum over all points at once
 (``semiinfinite_integral``, the audit's rho2 integrals and the
 verifier's rhs integrals) read ``.T.ravel()``: the points in time order.
 
-Per call, ``apply_T`` walks the panels in blocks of at most
-``BLOCK_PANELS`` (as few blocks as that allows, of equal size give or
-take one panel), in time order.  Per block, one pass per mesh (four
-per-panel gathers and two weighted sums) gives u, v, u', v' at the
-block's Gauss points for both f and h; f is called on them and its
-values are summed per panel and dropped, then h likewise, so one
-right-hand-side value array is alive at a time.  The per-panel sums go
-into full-length rows, and the cumulative sums, the assembly and the
+Per call, ``apply_T`` walks the plan's blocks of at most
+``BLOCK_PANELS`` panels (as few blocks as that allows, of equal size give
+or take one panel, fixed when the plan is built), in time order.  Per
+block, one pass per mesh (four per-panel gathers and two weighted sums)
+gives u, v, u', v' at the block's Gauss points for both f and h; f's
+staged closure is called on them and its values are summed per panel
+and dropped, then h's likewise, so one right-hand-side value array is
+alive at a time.  A right-hand side written with ``model.staged``
+computed its time-only factors (a 1/t^3 weight, an e^{-rate t} decay)
+when the plan was built, and its closure evaluates the same expression
+tree from them, so the bits are those of a full call; any other
+right-hand side is called in full, once per block.  The per-panel sums
+go into full-length rows, and the cumulative sums, the assembly and the
 tails run once on those rows.  Every step is elementwise per point or
 per panel, so the outputs do not depend on the block size.  The size
 keeps every per-point temporary at 256 KiB or less.  A whole-plan pass
@@ -89,6 +97,7 @@ from .model import ImpulsiveCoupledBVP, _first_nonfinite
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
 PANELS_PER_PIECE = 4   # least panels between consecutive impulse times
 BLOCK_PANELS = 4096    # most panels per block of apply_T's Gauss-point pass
+_GAUSS_X, _GAUSS_W = leggauss(GAUSS_ORDER)  # the rule on [-1, 1]
 
 __all__ = [
     "QuadratureConfig",
@@ -172,20 +181,22 @@ class TruncationReport:
 def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
     """The (u, v) meshes the operator works on: one grid, split at the
     schedule points of both components inside (t0, horizon), each mesh
-    doubled only at its own component's."""
-    pts = [x.points_between(p.t0, q.horizon) for x in (p.u_schedule, p.v_schedule)]
-    grid = build_mesh(p.t0, q.horizon, np.union1d(*pts), q.mesh_spacing).grid
-    return tuple(_mesh_on_grid(grid, np.searchsorted(grid, x)) for x in pts)
+    doubled only at its own component's.  When both schedules give the
+    same points there, both are one mesh, returned twice."""
+    pu, pv = (x.points_between(p.t0, q.horizon) for x in (p.u_schedule, p.v_schedule))
+    grid = build_mesh(p.t0, q.horizon, np.union1d(pu, pv), q.mesh_spacing).grid
+    u = _mesh_on_grid(grid, np.searchsorted(grid, pu))
+    v = u if np.array_equal(pu, pv) else _mesh_on_grid(grid, np.searchsorted(grid, pv))
+    return u, v
 
 
 def _gauss_panels(breaks):
     """Gauss-Legendre points and weights on the panels between ``breaks``:
     Gauss-major, C-contiguous (GAUSS_ORDER, npanels) arrays.  Their
     ``.T.ravel()`` lists the points in time order, panel by panel."""
-    xg, wg = leggauss(GAUSS_ORDER)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * np.diff(breaks)
-    return mid + half * xg[:, None], half * wg[:, None]
+    return mid + half * _GAUSS_X[:, None], half * _GAUSS_W[:, None]
 
 
 def _refined_boundaries(grid, hard):
@@ -344,7 +355,10 @@ class OperatorPlan:
     the Gauss points and weights, and per component a :class:`_MeshPlan`
     with the Hermite gathers and the per-slot bookkeeping of the assembly
     (panel index, impulse count, and the impulse slots, read off the
-    mesh's doubled nodes).  Both share one :class:`_Intervals`.
+    mesh's doubled nodes).  Both share one :class:`_Intervals`, and one
+    mesh shared by both components has one ``_MeshPlan`` (``v is u``).
+    ``blocks`` lists ``apply_T``'s blocks as (a, b, f, h): panels a..b-1
+    and the problem's f and h staged at their Gauss points.
     """
 
     problem: ImpulsiveCoupledBVP
@@ -354,6 +368,7 @@ class OperatorPlan:
     wts: np.ndarray
     u: _MeshPlan
     v: _MeshPlan
+    blocks: tuple
 
     @staticmethod
     def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig) -> "OperatorPlan":
@@ -364,9 +379,14 @@ class OperatorPlan:
         boundaries = _refined_boundaries(u_mesh.grid, hard)
         spts, wts = _gauss_panels(boundaries)
         intervals = _Intervals.build(u_mesh.grid, boundaries, spts)
+        u = _MeshPlan.build(u_mesh, intervals)
+        v = u if v_mesh is u_mesh else _MeshPlan.build(v_mesh, intervals)
+        blocks = []
+        for a, b in _blocks(boundaries.size - 1):
+            t = spts[:, a:b].ravel()
+            blocks.append((a, b, p.f.at(t), p.h.at(t)))
         return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
-                            wts=wts, u=_MeshPlan.build(u_mesh, intervals),
-                            v=_MeshPlan.build(v_mesh, intervals))
+                            wts=wts, u=u, v=v, blocks=tuple(blocks))
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""
@@ -387,15 +407,16 @@ def _blocks(npanels):
     return zip(edges[:-1], edges[1:])
 
 
-def _rhs_values(rhs, shape, args):
-    """rhs at a block's Gauss points: ``args`` is (t, u, v, u', v') flat in
-    Gauss-major order, the result has the block's ``shape``."""
-    vals = rhs(*args)
+def _rhs_values(rhs, g, spts, args):
+    """``g``, the rhs staged at a block's Gauss points ``spts``, at ``args``,
+    (u, v, u', v') flat in Gauss-major order; the result has spts's shape."""
+    vals = g(*args)
     # report the first bad point in time order: panel-major, not flat order
-    i = _first_nonfinite(vals, rank=lambda j: j % shape[1] * GAUSS_ORDER + j // shape[1])
+    n = spts.shape[1]
+    i = _first_nonfinite(vals, rank=lambda j: j % n * GAUSS_ORDER + j // n)
     if i is not None:
-        raise EvaluationError(rhs.name, args[0][i], tuple(a[i] for a in args[1:]))
-    return vals.reshape(shape)
+        raise EvaluationError(rhs.name, spts.ravel()[i], tuple(a[i] for a in args))
+    return vals.reshape(spts.shape)
 
 
 def _panel_sums(a):
@@ -473,31 +494,30 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     alone.  Either way s must live on ``problem_meshes(p, q)``: an iterate
     on another mesh spacing or impulse layout raises ValueError.
 
-    The Gauss points are visited in blocks of panels (see the module
-    docstring), so f and h are each called once per block.  Errors keep
-    the precedence of a single pass: a non-finite f value first (at its
-    first point in time order), then the u impulse maps, then h, then the
-    v impulse maps.  Last, T1 then T2 at their first non-finite slot, with
-    the iterate's (u, v, u', v') at its time.
+    The Gauss points are visited in the plan's blocks of panels (see the
+    module docstring), so f and h, staged there, are each called once per
+    block.  Errors keep the precedence of a single pass: a non-finite f
+    value first (at its first point in time order), then the u impulse
+    maps, then h, then the v impulse maps.  Last, T1 then T2 at their
+    first non-finite slot, with the iterate's (u, v, u', v') at its time.
     """
     if plan is None:
         plan = OperatorPlan.build(p, q)
     plan.check(p, q, s)
     boundaries = plan.boundaries
-    npanels = boundaries.size - 1
-    m0f, m1f, m0h, m1h = np.empty((4, npanels))
+    m0f, m1f, m0h, m1h = np.empty((4, boundaries.size - 1))
     h_error = None
-    for a, b in _blocks(npanels):
+    for a, b, f, h in plan.blocks:
         spts, wts = plan.spts[:, a:b], plan.wts[:, a:b]
         U, dU = plan.u.interpolate(s.u, a, b)
         V, dV = plan.v.interpolate(s.v, a, b)
-        args = (spts.ravel(), U, V, dU, dV)
+        args = (U, V, dU, dV)
         # the rhs values are dropped once summed: one such array alive at a time
-        m0f[a:b], m1f[a:b] = _moments(spts, wts, _rhs_values(p.f, spts.shape, args))
+        m0f[a:b], m1f[a:b] = _moments(spts, wts, _rhs_values(p.f, f, spts, args))
         if h_error is None:
             try:
                 m0h[a:b], m1h[a:b] = _moments(spts, wts,
-                                              _rhs_values(p.h, spts.shape, args))
+                                              _rhs_values(p.h, h, spts, args))
             except EvaluationError as exc:
                 h_error = exc  # raised once f has been checked on every block
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fnspace import _require_positive
 from .model import (BoundaryData, CaratheodoryBounds, ImpulseMap, ImpulseSchedule,
-                    ImpulsiveCoupledBVP, RhsFunction)
+                    ImpulsiveCoupledBVP, RhsFunction, staged)
 
 __all__ = ["PendulumParams", "build_pendulum_problem",
            "spring_pendulum_f", "spring_pendulum_h",
@@ -68,20 +68,22 @@ def spring_pendulum_f(m=1.0, k=1.0, g=9.8, l0=1.0):
     x = length, y = angle, z = length', w = angle'."""
     km = k / m
 
-    def f(t, x, y, z, w):
-        return (x * w - g * np.cos(y) - km * (x - l0)) / t ** 3
+    def at(t):
+        t3 = t ** 3
+        return lambda x, y, z, w: (x * w - g * np.cos(y) - km * (x - l0)) / t3
 
-    return f
+    return staged(at)
 
 
 def spring_pendulum_h(m=1.0, k=1.0, g=9.8, l0=1.0):
     """The angle equation's right-hand side h(t, x, y, z, w); ``m``, ``k``
     and ``l0`` do not enter it and are accepted for a uniform signature."""
 
-    def h(t, x, y, z, w):
-        return (-g * x * np.sin(y) - 2.0 * x * z * w) / (t ** 3 * x * x)
+    def at(t):
+        t3 = t ** 3
+        return lambda x, y, z, w: (-g * x * np.sin(y) - 2.0 * x * z * w) / (t3 * x * x)
 
-    return h
+    return staged(at)
 
 
 def pendulum_bound_Phi(pp: PendulumParams, rho, t):

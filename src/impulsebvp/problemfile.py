@@ -16,7 +16,7 @@ import numpy as np
 
 from .manufactured import manufactured_problem
 from .model import (_BOUND_TAILS, BoundaryData, CaratheodoryBounds, ImpulseMap,
-                    ImpulseSchedule, ImpulsiveCoupledBVP, RhsFunction)
+                    ImpulseSchedule, ImpulsiveCoupledBVP, RhsFunction, staged)
 from .pendulum import (PendulumParams, build_pendulum_problem, spring_pendulum_f,
                        spring_pendulum_h)
 
@@ -34,22 +34,38 @@ def _rhs_constant(value=0.0):
 
 
 def _rhs_exp_decay(amplitude=1.0, rate=1.0):
-    return lambda t, x, y, z, w: amplitude * np.exp(-rate * t)
+    def at(t):
+        a = amplitude * np.exp(-rate * t)
+        return lambda x, y, z, w: a
+
+    return staged(at)
 
 
 def _rhs_decaying_sin_state(amplitude=0.25, rate=1.0):
-    return lambda t, x, y, z, w: amplitude * np.exp(-rate * t) * np.sin(x)
+    def at(t):
+        a = amplitude * np.exp(-rate * t)
+        return lambda x, y, z, w: a * np.sin(x)
+
+    return staged(at)
 
 
 def _rhs_bump_weighted_state(mass=0.5, center=2.0, width=0.05):
     amp = mass / (width * math.sqrt(2.0 * math.pi))
-    return lambda t, x, y, z, w: (
-        amp * np.exp(-0.5 * ((t - center) / width) ** 2) * x / (1.0 + t))
+
+    def at(t):
+        a = amp * np.exp(-0.5 * ((t - center) / width) ** 2)
+        d = 1.0 + t
+        return lambda x, y, z, w: a * x / d
+
+    return staged(at)
 
 
 def _rhs_linear_state_decay(cx=0.0, cy=0.0, cz=0.0, cw=0.0, c0=0.0, rate=1.0):
-    return lambda t, x, y, z, w: np.exp(-rate * t) * (
-        c0 + cx * x + cy * y + cz * z + cw * w)
+    def at(t):
+        e = np.exp(-rate * t)
+        return lambda x, y, z, w: e * (c0 + cx * x + cy * y + cz * z + cw * w)
+
+    return staged(at)
 
 
 RHS_REGISTRY = {

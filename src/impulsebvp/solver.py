@@ -83,7 +83,8 @@ class ResidualReport:
     """How well a candidate pair satisfies the equations, jumps, and data.
 
     ``ode_residual_sup`` holds the per-equation sup of |x'' - rhs| over
-    interior smooth-piece nodes; ``jump_residual_sup`` the per-family sup
+    the interior smooth-piece nodes whose difference stencil holds no
+    impulse time of the other component; ``jump_residual_sup`` the per-family sup
     of |registered jump - impulse-map value at the left limits|;
     ``boundary_residuals`` the anchors (u at t0, v at t0, u' at H, v' at H).
     The left anchors compare against the representation's value at t0,
@@ -185,6 +186,7 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
     """
     plan = OperatorPlan.build(p, qc)
     s = _start_pair(p, plan.u.mesh, plan.v.mesh, sc.initial_guess)
+    z = _flatten(s)  # s flat; each later s is unflattened from its z
     history = []
     best, best_res, best_report = None, math.inf, None
     # flat iterates / operator images, newest last; depth 0 keeps one pair
@@ -196,15 +198,17 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
         except EvaluationError as exc:
             exc.location["iteration"] = it
             raise
-        zs.append(_flatten(s))
+        zs.append(z)
         gs.append(_flatten(Ts))
+        del Ts  # copied into gs: free its arrays before the next application
         res = norm_X(_unflatten(gs[-1] - zs[-1], s))
         history.append(res)
         if res < best_res:
             best, best_res, best_report = s, res, report
         if res <= sc.tol:
             break
-        s = _unflatten(_mix(zs, gs, sc.damping), s)
+        z = _mix(zs, gs, sc.damping)
+        s = _unflatten(z, s)
 
     return best, SolveDiagnostics(iterations=len(history), residual_history=history,
                                   converged=best_res <= sc.tol, truncation=best_report,
@@ -230,14 +234,20 @@ def _rhs_args(s: SolutionPair, t):
 
 def _ode_residual(fn, x, s: SolutionPair):
     """sup over interior smooth-piece nodes of |x'' - fn|, with x'' from
-    central differences of the stored first derivatives."""
+    central differences of the stored first derivatives.  A node whose
+    stencil (t_{i-1}, t_{i+1}) holds an impulse time of the other component
+    is skipped: x'' jumps there as soon as fn depends on that component."""
     # pieces end on the left slot of a doubled node and restart on its right slot
     interior = slot_sides(x.mesh) == ""
     interior[[0, -1]] = False
     i = np.flatnonzero(interior)
+    t, dd = x.mesh.nodes, x.derivs
+    # x's own impulse times never lie inside an interior node's stencil
+    jumps = np.union1d(s.u.mesh.impulse_times, s.v.mesh.impulse_times)
+    i = i[np.searchsorted(jumps, t[i - 1], side="right")
+          == np.searchsorted(jumps, t[i + 1], side="left")]
     if i.size == 0:
         return 0.0
-    t, dd = x.mesh.nodes, x.derivs
     second = (dd[i + 1] - dd[i - 1]) / (t[i + 1] - t[i - 1])
     rhs = fn(*_rhs_args(s, t[i]))
     return float(np.max(np.abs(second - rhs)))

@@ -727,17 +727,19 @@ def test_panel_sums_are_numpy_row_sums():
 
 
 def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
-    # small blocks split both plans at every possible panel offset
+    # small blocks split both plans at every possible panel offset; the plan
+    # fixes its blocks, so each size gets its own plan
     import impulsebvp.operator as operator_module
     from impulsebvp.audit import sample_ball_pair
     from impulsebvp.operator import BLOCK_PANELS, OperatorPlan, _blocks
     for p, spacing in ((_criterion04_problem(), 0.02), (_dense_impulse_problem(1), 0.01)):
         qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
         s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(13))
-        plan = OperatorPlan.build(p, qc)
         results = []
         for size in (BLOCK_PANELS, 1, 3, 7):
             monkeypatch.setattr(operator_module, "BLOCK_PANELS", size)
+            plan = OperatorPlan.build(p, qc)
+            assert [blk[:2] for blk in plan.blocks] == list(_blocks(plan.boundaries.size - 1))
             results.append(apply_T(p, s, qc, plan))
         (ref, ref_report), *others = results
         for out, report in others:
@@ -751,6 +753,59 @@ def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
     sizes = [b - a for a, b in _blocks(npanels)]
     assert len(sizes) == 3 and sum(sizes) == npanels
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_staged_rhs_is_staged_once_per_block_per_plan(monkeypatch):
+    # a staged rhs computes its time-only part once per block when the
+    # plan is built, not once per application
+    import impulsebvp.operator as operator_module
+    from impulsebvp.audit import check_ball_invariance
+    from impulsebvp.model import staged
+    from impulsebvp.operator import OperatorPlan
+    from impulsebvp.solver import SolverConfig, solve
+    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
+    sizes = []
+
+    def at(t):
+        sizes.append(t.size)
+        e = np.exp(-t)
+        return lambda x, y, z, w: 0.1 * e * x
+
+    counted = rhs(staged(at), "counted")
+    p = make_problem(f=counted, h=counted, boundary=(1.0, 0.5, 0.5, 0.25),
+                     u_points=(1.0, 2.5), v_points=(1.5,))
+    qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
+    plan = OperatorPlan.build(p, qc)
+    assert len(plan.blocks) > 2
+    assert len(sizes) == 2 * len(plan.blocks) and sum(sizes) == 2 * plan.spts.size
+    sizes.clear()
+    _, diag = solve(p, SolverConfig(tol=1e-14), qc)
+    assert diag.iterations > 3 and len(sizes) == 2 * len(plan.blocks)
+    sizes.clear()
+    check_ball_invariance(p, None, 10.0, qc, samples=4, seed=0)
+    assert len(sizes) == 2 * len(plan.blocks)
+
+
+def test_plan_shares_one_mesh_plan_when_both_schedules_agree():
+    from impulsebvp.operator import OperatorPlan
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    qc = QuadratureConfig(horizon=20.0, mesh_spacing=0.02)
+    pend = build_pendulum_problem(PendulumParams())
+    mu, mv = problem_meshes(pend, qc)
+    assert mv is mu
+    plan = OperatorPlan.build(pend, qc)
+    assert plan.v is plan.u
+    # points at or below t0 and past the horizon do not count
+    same = make_problem(u_points=(0.5, 1.0, 2.0, 30.0), v_points=(1.0, 2.0), t0=0.5)
+    mu, mv = problem_meshes(same, qc)
+    assert mv is mu
+    plan = OperatorPlan.build(same, qc)
+    assert plan.v is plan.u
+    for p in (_criterion04_problem(), make_problem(u_points=(1.0, 2.0), v_points=(1.0,))):
+        mu, mv = problem_meshes(p, qc)
+        assert mv is not mu and np.array_equal(mu.grid, mv.grid)
+        plan = OperatorPlan.build(p, qc)
+        assert plan.v is not plan.u and plan.v.intervals is plan.u.intervals
 
 
 def _nan_past(start, name):

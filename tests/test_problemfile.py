@@ -148,6 +148,65 @@ def test_pendulum_rhs_registry_entries_are_the_pendulum_model():
                           model.h(*args))
 
 
+# each staged right-hand side: its params and its expression as one plain
+# lambda of (t, x, y, z, w), as the registry wrote it before staging
+_BUMP = 0.7 / (0.3 * math.sqrt(2.0 * math.pi))
+_UNSTAGED = {
+    "exp_decay": ({"amplitude": 1.3, "rate": 0.7},
+                  lambda t, x, y, z, w: 1.3 * np.exp(-0.7 * t)),
+    "decaying_sin_state": ({"amplitude": 0.25, "rate": 1.1},
+                           lambda t, x, y, z, w: 0.25 * np.exp(-1.1 * t) * np.sin(x)),
+    "bump_weighted_state": ({"mass": 0.7, "center": 2.5, "width": 0.3},
+                            lambda t, x, y, z, w: (_BUMP * np.exp(-0.5 * ((t - 2.5) / 0.3) ** 2)
+                                                   * x / (1.0 + t))),
+    "linear_state_decay": ({"cx": 0.1, "cy": -0.2, "cz": 0.3, "cw": -0.4, "c0": 0.5,
+                            "rate": 0.9},
+                           lambda t, x, y, z, w: np.exp(-0.9 * t) * (
+                               0.5 + 0.1 * x + -0.2 * y + 0.3 * z + -0.4 * w)),
+    "spring_pendulum_f": ({"m": 1.5, "k": 2.0, "g": 9.8, "l0": 1.2},
+                          lambda t, x, y, z, w: (x * w - 9.8 * np.cos(y)
+                                                 - (2.0 / 1.5) * (x - 1.2)) / t ** 3),
+    "spring_pendulum_h": ({"m": 1.5, "k": 2.0, "g": 9.8, "l0": 1.2},
+                          lambda t, x, y, z, w: ((-9.8 * x * np.sin(y) - 2.0 * x * z * w)
+                                                 / (t ** 3 * x * x))),
+}
+
+
+def _staged_cases():
+    """(name, staged fn, unstaged lambda) for every staged right-hand side."""
+    from impulsebvp.manufactured import manufactured_problem
+    cases = [(name, RHS_REGISTRY[name](**params), old)
+             for name, (params, old) in _UNSTAGED.items()]
+    m = manufactured_problem()
+    return cases + [("manufactured", m.f.fn, lambda t, x, y, z, w: np.exp(-t))]
+
+
+def test_staged_rhs_give_the_bits_of_their_unstaged_form():
+    from impulsebvp.model import RhsFunction
+    from impulsebvp.operator import OperatorPlan, QuadratureConfig
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    rng = np.random.default_rng(23)
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()
+    pend = build_pendulum_problem(PendulumParams())
+    qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.005)
+    for name, fn, old in _staged_cases():
+        assert callable(fn.at), name
+        g = RhsFunction(fn, name=name)
+        plan = OperatorPlan.build(dataclasses.replace(pend, f=g, h=g), qc)
+        assert len(plan.blocks) > 1
+        # random times, then the plan's Gauss points with its staged closures
+        cases = [(rng.uniform(1.0, 40.0, 1000), None, None)]
+        cases += [(plan.spts[:, a:b].ravel(), f, h) for a, b, f, h in plan.blocks]
+        for t, f, h in cases:
+            x, y, z, w = (rng.uniform(0.5, 3.0, t.size) for _ in range(4))
+            want = old(t, x, y, z, w)
+            assert same(g.at(t)(x, y, z, w), want), name
+            assert same(g(t, x, y, z, w), want), name
+            assert same(np.asarray(fn(t, x, y, z, w)), want), name
+            if f is not None:
+                assert same(f(x, y, z, w), want) and same(h(x, y, z, w), want), name
+
+
 def test_schedule_rules_are_registry_entries():
     assert set(SCHEDULE_REGISTRY) == {"integers", "arithmetic"}
     p = load_problem({"boundary": _BOUNDARY, "impulses": {

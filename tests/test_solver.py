@@ -386,7 +386,9 @@ def test_evaluation_error_gets_iteration_index():
 
 def _ode_residual_loop(fn, x, s):
     """Reference: one smooth piece at a time, pieces of fewer than three
-    slots skipped."""
+    slots skipped, and so is every node whose stencil holds an impulse
+    time of the other component."""
+    other = (s.v if x is s.u else s.u).mesh.impulse_times
     starts, ends = [0], []
     for pp in x.mesh.impulse_times:
         lo, hi = x.mesh.impulse_slots(pp)
@@ -399,8 +401,12 @@ def _ode_residual_loop(fn, x, s):
             continue
         t = x.mesh.nodes[lo:hi + 1]
         d = x.derivs[lo:hi + 1]
-        second = (d[2:] - d[:-2]) / (t[2:] - t[:-2])
-        ti = t[1:-1]
+        k = np.array([k for k in range(1, t.size - 1)
+                      if not any(t[k - 1] < pp < t[k + 1] for pp in other)], dtype=int)
+        if k.size == 0:
+            continue
+        second = (d[k + 1] - d[k - 1]) / (t[k + 1] - t[k - 1])
+        ti = t[k]
         rhs = fn(ti, s.u(ti), s.v(ti), s.u.deriv(ti), s.v.deriv(ti))
         worst = max(worst, float(np.max(np.abs(second - rhs))))
     return worst
@@ -418,9 +424,29 @@ def test_ode_residual_matches_the_per_piece_loop():
     pairs = [sample_ball_pair(p, qc, 1.0, np.random.default_rng(seed)) for seed in (0, 1)]
     m = manufactured_problem()
     pairs.append(solve(m, SolverConfig(), QuadratureConfig(horizon=20.0, mesh_spacing=0.01))[0])
-    for prob, s in ((p, pairs[0]), (p, pairs[1]), (m, pairs[2])):
+    # u jumps, so the solved v'' jumps at u's impulse times, which v's stencils skip
+    jumps = dataclasses.replace(p, I0=ImpulseMap(lambda pp, a, b: 0.1 + 0.0 * a),
+                                I1=ImpulseMap(lambda pp, a, b: -0.2 + 0.0 * a))
+    pairs.append(solve(jumps, SolverConfig(), qc)[0])
+    for prob, s in ((p, pairs[0]), (p, pairs[1]), (m, pairs[2]), (jumps, pairs[3])):
         for fn, x in ((prob.f, s.u), (prob.h, s.v)):
             assert _ode_residual(fn, x, s) == _ode_residual_loop(fn, x, s)
+
+
+def test_ode_residual_is_second_order_with_two_impulse_schedules():
+    # x'' jumps at the other component's impulse times; with those stencils
+    # skipped the central-difference estimate halves twice per halved h
+    from test_operator import _dense_impulse_problem
+    p = _dense_impulse_problem(1)
+    sups = []
+    for h in (0.02, 0.01, 0.005):
+        s, diag = solve(p, SolverConfig(tol=1e-12), QuadratureConfig(horizon=40.0,
+                                                                      mesh_spacing=h))
+        assert diag.converged
+        sups.append(verify_residuals(p, s).ode_residual_sup)
+    for coarse, fine in zip(sups, sups[1:]):
+        for a, b in zip(coarse, fine):
+            assert 1.9 < math.log2(a / b) < 2.1
 
 
 def _plain_rhs_integral_two_pass(rhs, s):
