@@ -116,11 +116,11 @@ class RhsFunction:
     identifies it in error messages, and names the registry entry of a
     problem file.
 
-    The operator evaluates ``fn`` through :meth:`at`, once per block of
-    quadrature panels per application, at times fixed by its plan.  A
-    ``fn`` written with :func:`staged` computes its time-only factors (a
-    1/t^3 weight, an e^{-rate t} decay) once per plan; any other ``fn`` is
-    called in full on every block, as above.
+    The operator evaluates ``fn`` through :meth:`at`, once per
+    application, at the quadrature points fixed by its plan.  A ``fn``
+    written with :func:`staged` computes its time-only factors (a 1/t^3
+    weight, an e^{-rate t} decay) once per plan; any other ``fn`` is
+    called in full on every application, as above.
     """
 
     fn: Callable

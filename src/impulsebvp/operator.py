@@ -31,8 +31,8 @@ boundaries, Gauss points and weights, per panel the grid interval it
 lies in and the cubic Hermite weights at its Gauss points (once, for
 both components), per mesh and panel the two slots whose Hermite data
 the panel interpolates (once, for a shared mesh), the slot bookkeeping
-of the assembly, and the block layout below with f and h staged at each
-block's Gauss points (``RhsFunction.at``).
+of the assembly, and f and h staged at its Gauss points
+(``RhsFunction.at``).
 ``solve`` and the ball-invariance audit build one plan and pass it to
 every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
 call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
@@ -53,28 +53,23 @@ point in time order.  The integrators that sum over all points at once
 (``semiinfinite_integral``, the audit's rho2 integrals and the
 verifier's rhs integrals) read ``.T.ravel()``: the points in time order.
 
-Per call, ``apply_T`` walks the plan's blocks of at most
-``BLOCK_PANELS`` panels (as few blocks as that allows, of equal size give
-or take one panel, fixed when the plan is built), in time order.  Per
-block, one pass per mesh (four per-panel gathers and two weighted sums)
-gives u, v, u', v' at the block's Gauss points for both f and h; f's
-staged closure is called on them and its values are summed per panel
-and dropped, then h's likewise, so one right-hand-side value array is
-alive at a time.  A right-hand side written with ``model.staged``
-computed its time-only factors (a 1/t^3 weight, an e^{-rate t} decay)
-when the plan was built, and its closure evaluates the same expression
-tree from them, so the bits are those of a full call; any other
-right-hand side is called in full, once per block.  The per-panel sums
-go into full-length rows, and the cumulative sums, the assembly and the
-tails run once on those rows.  Every step is elementwise per point or
-per panel, so the outputs do not depend on the block size.  The size
-keeps every per-point temporary at 256 KiB or less.  A whole-plan pass
-over the 35 328 points of a 400 + 160 impulse problem pushes several MB
-of temporaries through the C heap per call, which hands them back to the
-system and faults them in again: a solve of that problem in one block
-takes about 3x the minor page faults and 1.3x the time it takes in blocks
-of 4 096 panels, while much smaller blocks (256 panels) cost more in
-per-block overhead than they save.
+Per call, ``apply_T`` makes one pass over all of the plan's Gauss
+points.  One pass per mesh (four per-panel gathers and two weighted sums)
+gives u, v, u', v' there for both f and h.  Then f's staged closure is
+called on them and its values are summed per panel, the u component is
+assembled from those sums, and h and the v component follow likewise:
+the order in which errors are reported.  A right-hand side written with
+``model.staged`` computed its time-only factors (a 1/t^3 weight, an
+e^{-rate t} decay) when the plan was built, and its closure evaluates
+the same expression tree from them, so the bits are those of a full
+call; any other right-hand side is called in full, once per application.
+The pass is not cut into blocks of panels: on a shared 2-core VM, one
+pass took the in-process ``apply_T`` of a 400 + 160 impulse problem
+(4 416 panels) from 2.17 ms in blocks of 4 096 panels to 1.66 ms, the
+8 000-slot sweep point from 3.12 to 2.83 ms and the 2 000-impulse one
+from 3.15 to 3.06 ms, with the 8 000-panel manufactured solve unchanged.
+Only the 16 000-slot sweep point lost, 6.31 to 6.72 ms, and the
+full-length temporaries raised the benchmark's peak RSS by 1.3 %.
 
 Evaluation at distinct output nodes is independent; the implementation is
 vectorized with a fixed summation order, so results are deterministic for a
@@ -83,7 +78,7 @@ fixed configuration, with or without a plan.
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -96,7 +91,6 @@ from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
 GAUSS_ORDER = 8        # Gauss-Legendre points per panel; _panel_sums adds 8 rows
 PANELS_PER_PIECE = 4   # least panels between consecutive impulse times
-BLOCK_PANELS = 4096    # most panels per block of apply_T's Gauss-point pass
 _GAUSS_X, _GAUSS_W = leggauss(GAUSS_ORDER)  # the rule on [-1, 1]
 
 __all__ = [
@@ -286,9 +280,9 @@ class _Intervals:
 
     @staticmethod
     def build(grid, boundaries, spts):
-        # a panel lies in one grid interval up to a node merged into its end
-        # (on a union of two grids), so its midpoint finds that interval (the
-        # midpoint of a panel a rounding wide may round onto the horizon)
+        # every grid node is a panel boundary, so a panel lies in one grid
+        # interval and its midpoint finds it (the midpoint of a panel a
+        # rounding wide may round onto the horizon)
         mid = 0.5 * (boundaries[1:] + boundaries[:-1])
         j = np.minimum(np.searchsorted(grid, mid, side="right") - 1, grid.size - 2)
         x0 = grid[j]
@@ -331,14 +325,12 @@ class _MeshPlan:
             lo=mesh.left_slot[knot], hi=mesh.right_slot[knot],
             cnt=np.searchsorted(mesh.impulse_times, mesh.nodes, side="left"))
 
-    def interpolate(self, x: PiecewiseC1Function, a=0, b=None):
-        """x and x' at the Gauss points of panels a..b-1 (default: all), in
-        ``spts[:, a:b].ravel()`` order, bit for bit as ``x(flat)`` and
-        ``x.deriv(flat)`` compute them at every Gauss point off a grid node."""
-        cols = slice(a, b)
-        s_lo, s_hi = self.s_lo[cols], self.s_hi[cols]
-        val, der = _hermite_combine((w[:, cols] for w in self.intervals.weights),
-                                    self.intervals.h[cols],
+    def interpolate(self, x: PiecewiseC1Function):
+        """x and x' at the plan's Gauss points, in ``spts.ravel()`` order,
+        bit for bit as ``x(flat)`` and ``x.deriv(flat)`` compute them at
+        every Gauss point off a grid node."""
+        s_lo, s_hi = self.s_lo, self.s_hi
+        val, der = _hermite_combine(self.intervals.weights, self.intervals.h,
                                     x.values[s_lo], x.values[s_hi],
                                     x.derivs[s_lo], x.derivs[s_hi])
         return val.ravel(), der.ravel()
@@ -357,8 +349,8 @@ class OperatorPlan:
     (panel index, impulse count, and the impulse slots, read off the
     mesh's doubled nodes).  Both share one :class:`_Intervals`, and one
     mesh shared by both components has one ``_MeshPlan`` (``v is u``).
-    ``blocks`` lists ``apply_T``'s blocks as (a, b, f, h): panels a..b-1
-    and the problem's f and h staged at their Gauss points.
+    ``f`` and ``h`` are the problem's right-hand sides staged at the Gauss
+    points, ``spts.ravel()`` (``RhsFunction.at``).
     """
 
     problem: ImpulsiveCoupledBVP
@@ -368,7 +360,8 @@ class OperatorPlan:
     wts: np.ndarray
     u: _MeshPlan
     v: _MeshPlan
-    blocks: tuple
+    f: Callable
+    h: Callable
 
     @staticmethod
     def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig) -> "OperatorPlan":
@@ -381,12 +374,9 @@ class OperatorPlan:
         intervals = _Intervals.build(u_mesh.grid, boundaries, spts)
         u = _MeshPlan.build(u_mesh, intervals)
         v = u if v_mesh is u_mesh else _MeshPlan.build(v_mesh, intervals)
-        blocks = []
-        for a, b in _blocks(boundaries.size - 1):
-            t = spts[:, a:b].ravel()
-            blocks.append((a, b, p.f.at(t), p.h.at(t)))
+        t = spts.ravel()  # a view: the staged factors see the plan's points
         return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
-                            wts=wts, u=u, v=v, blocks=tuple(blocks))
+                            wts=wts, u=u, v=v, f=p.f.at(t), h=p.h.at(t))
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""
@@ -398,18 +388,10 @@ class OperatorPlan:
                              "rebuild the iterate with problem_meshes()")
 
 
-def _blocks(npanels):
-    """(start, stop) panel ranges of ``apply_T``'s blocks, in time order:
-    as few as hold at most ``BLOCK_PANELS`` panels each, of equal size
-    give or take one, so no tiny last block is left."""
-    n = -(-npanels // BLOCK_PANELS)
-    edges = [i * npanels // n for i in range(n + 1)]
-    return zip(edges[:-1], edges[1:])
-
-
 def _rhs_values(rhs, g, spts, args):
-    """``g``, the rhs staged at a block's Gauss points ``spts``, at ``args``,
-    (u, v, u', v') flat in Gauss-major order; the result has spts's shape."""
+    """``g``, the rhs staged at the plan's Gauss points ``spts``, at
+    ``args``, (u, v, u', v') flat in Gauss-major order; the result has
+    spts's shape."""
     vals = g(*args)
     # report the first bad point in time order: panel-major, not flat order
     n = spts.shape[1]
@@ -431,7 +413,8 @@ def _panel_sums(a):
 
 
 def _moments(spts, wts, rvals):
-    """Per-panel sums of w r and w s r over a Gauss-major block (overflow is silent)."""
+    """Per-panel sums of w r and w s r over Gauss-major (GAUSS_ORDER, npanels)
+    arrays (overflow is silent)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _panel_sums(wts * rvals), _panel_sums(wts * spts * rvals)
 
@@ -494,37 +477,26 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     alone.  Either way s must live on ``problem_meshes(p, q)``: an iterate
     on another mesh spacing or impulse layout raises ValueError.
 
-    The Gauss points are visited in the plan's blocks of panels (see the
-    module docstring), so f and h, staged there, are each called once per
-    block.  Errors keep the precedence of a single pass: a non-finite f
-    value first (at its first point in time order), then the u impulse
-    maps, then h, then the v impulse maps.  Last, T1 then T2 at their
-    first non-finite slot, with the iterate's (u, v, u', v') at its time.
+    One pass over the plan's Gauss points interpolates u and v there;
+    then f's moments, T1's assembly, h's moments and T2's assembly run in
+    that order, each of f and h, staged there, called once.  Errors
+    follow that order: a non-finite f value (at its first point in time
+    order), then the u impulse maps, then h, then the v impulse maps.
+    Last, T1 then T2 at their first non-finite slot, with the iterate's
+    (u, v, u', v') at its time.
     """
     if plan is None:
         plan = OperatorPlan.build(p, q)
     plan.check(p, q, s)
-    boundaries = plan.boundaries
-    m0f, m1f, m0h, m1h = np.empty((4, boundaries.size - 1))
-    h_error = None
-    for a, b, f, h in plan.blocks:
-        spts, wts = plan.spts[:, a:b], plan.wts[:, a:b]
-        U, dU = plan.u.interpolate(s.u, a, b)
-        V, dV = plan.v.interpolate(s.v, a, b)
-        args = (U, V, dU, dV)
-        # the rhs values are dropped once summed: one such array alive at a time
-        m0f[a:b], m1f[a:b] = _moments(spts, wts, _rhs_values(p.f, f, spts, args))
-        if h_error is None:
-            try:
-                m0h[a:b], m1h[a:b] = _moments(spts, wts,
-                                              _rhs_values(p.h, h, spts, args))
-            except EvaluationError as exc:
-                h_error = exc  # raised once f has been checked on every block
-
+    spts, wts = plan.spts, plan.wts
+    U, dU = plan.u.interpolate(s.u)
+    V, dV = plan.v.interpolate(s.v)
+    args = (U, V, dU, dV)
+    # the rhs values are dropped once summed: one such array alive at a time
+    m0f, m1f = _moments(spts, wts, _rhs_values(p.f, plan.f, spts, args))
     out_u, c0u, c1u = _component_apply(p.boundary.A1, p.boundary.B1, p.I0, p.I1,
                                        s.u, plan.u, m0f, m1f, ("u", "I0", "I1"))
-    if h_error is not None:
-        raise h_error
+    m0h, m1h = _moments(spts, wts, _rhs_values(p.h, plan.h, spts, args))
     out_v, c0v, c1v = _component_apply(p.boundary.A2, p.boundary.B2, p.J0, p.J1,
                                        s.v, plan.v, m0h, m1h, ("v", "J0", "J1"))
     for name, out in (("T1", out_u), ("T2", out_v)):
@@ -536,8 +508,8 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     # the problem's Caratheodory tails at bound_rho are the only tail bounds
     b = p.bounds if q.bound_rho is not None else None
     in_ball = b is not None and norm_X(s) <= q.bound_rho
-    tf, bf, wf = _integral_tail(q, b and b.tail_integral_f, m0f, boundaries, in_ball)
-    th, bh, wh = _integral_tail(q, b and b.tail_integral_h, m0h, boundaries, in_ball)
+    tf, bf, wf = _integral_tail(q, b and b.tail_integral_f, m0f, plan.boundaries, in_ball)
+    th, bh, wh = _integral_tail(q, b and b.tail_integral_h, m0h, plan.boundaries, in_ball)
     iu, ibu = _impulse_tail(q, p.u_schedule, b and b.seq_tail_phi, b and b.seq_tail_psi,
                             (np.abs(c0u), np.abs(c1u)), in_ball)
     iv, ibv = _impulse_tail(q, p.v_schedule, b and b.seq_tail_phij, b and b.seq_tail_theta,

@@ -560,12 +560,9 @@ def test_rhs_failure_names_iteration_and_first_bad_point(tmp_path, monkeypatch, 
 
 def test_rhs_failure_in_blocks_names_iteration_and_first_bad_point(tmp_path, monkeypatch,
                                                                    capsys):
-    # the 50 panels run in five blocks of 10 (80 points), so f is called
-    # five times per application and its 11th call opens iteration 3;
-    # 2.0037 lies in the first panel of the third block
-    import impulsebvp.operator as operator_module
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 10)
-    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=11)
+    # the 50 panels (400 points) run in one pass, so f is called once per
+    # application and its 3rd call opens iteration 3
+    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3)
 
 
 def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):

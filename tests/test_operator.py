@@ -684,12 +684,12 @@ def test_plan_arrays_have_one_row_per_gauss_node():
 
 
 def test_panel_sums_are_numpy_row_sums():
-    # _moments adds the Gauss-major rows pairwise, block by block as
+    # _moments adds the Gauss-major rows pairwise, over the whole plan as
     # apply_T calls it; numpy's sum over a contiguous panel-major row of 8
     # must give the same bits
     from impulsebvp.audit import sample_ball_pair
-    from impulsebvp.operator import (GAUSS_ORDER, OperatorPlan, _blocks, _moments,
-                                     _panel_sums, _prefix_sums)
+    from impulsebvp.operator import (GAUSS_ORDER, OperatorPlan, _moments, _panel_sums,
+                                     _prefix_sums)
     from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
     rng = np.random.default_rng(17)
     a = (rng.standard_normal((GAUSS_ORDER, 20_000))
@@ -713,10 +713,7 @@ def test_panel_sums_are_numpy_row_sums():
         for r in (p.f(flat, U, V, dU, dV), p.h(flat, U, V, dU, dV),
                   rng.standard_normal(flat.size)):
             r = r.reshape(plan.spts.shape)
-            m0, m1 = np.empty((2, plan.spts.shape[1]))
-            for a, b in _blocks(m0.size):
-                m0[a:b], m1[a:b] = _moments(plan.spts[:, a:b], plan.wts[:, a:b],
-                                            r[:, a:b])
+            m0, m1 = _moments(plan.spts, plan.wts, r)
             C0, C1 = _prefix_sums(m0), _prefix_sums(m1)
             want0 = (panel_major(plan.wts.T) * panel_major(r.T)).sum(axis=1)
             want1 = (panel_major(plan.wts.T) * panel_major(plan.spts.T)
@@ -726,44 +723,14 @@ def test_panel_sums_are_numpy_row_sums():
             assert np.array_equal(C1, np.concatenate(([0.0], np.cumsum(want1))))
 
 
-def test_apply_T_is_bitwise_independent_of_the_block_size(monkeypatch):
-    # small blocks split both plans at every possible panel offset; the plan
-    # fixes its blocks, so each size gets its own plan
-    import impulsebvp.operator as operator_module
-    from impulsebvp.audit import sample_ball_pair
-    from impulsebvp.operator import BLOCK_PANELS, OperatorPlan, _blocks
-    for p, spacing in ((_criterion04_problem(), 0.02), (_dense_impulse_problem(1), 0.01)):
-        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
-        s = sample_ball_pair(p, qc, 0.5, np.random.default_rng(13))
-        results = []
-        for size in (BLOCK_PANELS, 1, 3, 7):
-            monkeypatch.setattr(operator_module, "BLOCK_PANELS", size)
-            plan = OperatorPlan.build(p, qc)
-            assert [blk[:2] for blk in plan.blocks] == list(_blocks(plan.boundaries.size - 1))
-            results.append(apply_T(p, s, qc, plan))
-        (ref, ref_report), *others = results
-        for out, report in others:
-            for a, b in ((ref.u, out.u), (ref.v, out.v)):
-                assert np.array_equal(a.values, b.values)
-                assert np.array_equal(a.derivs, b.derivs)
-            assert report == ref_report
-    # blocks of 2 048 panels split the dense-impulse plan into three
-    npanels = plan.boundaries.size - 1
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 2048)
-    sizes = [b - a for a, b in _blocks(npanels)]
-    assert len(sizes) == 3 and sum(sizes) == npanels
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_staged_rhs_is_staged_once_per_block_per_plan(monkeypatch):
-    # a staged rhs computes its time-only part once per block when the
-    # plan is built, not once per application
-    import impulsebvp.operator as operator_module
+def test_staged_rhs_is_staged_once_per_plan():
+    # a staged rhs computes its time-only part once, at all the plan's
+    # Gauss points, when the plan is built, not once per application
     from impulsebvp.audit import check_ball_invariance
+    from impulsebvp.manufactured import manufactured_problem
     from impulsebvp.model import staged
     from impulsebvp.operator import OperatorPlan
     from impulsebvp.solver import SolverConfig, solve
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
     sizes = []
 
     def at(t):
@@ -776,14 +743,33 @@ def test_staged_rhs_is_staged_once_per_block_per_plan(monkeypatch):
                      u_points=(1.0, 2.5), v_points=(1.5,))
     qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
     plan = OperatorPlan.build(p, qc)
-    assert len(plan.blocks) > 2
-    assert len(sizes) == 2 * len(plan.blocks) and sum(sizes) == 2 * plan.spts.size
+    assert sizes == [plan.spts.size] * 2
     sizes.clear()
     _, diag = solve(p, SolverConfig(tol=1e-14), qc)
-    assert diag.iterations > 3 and len(sizes) == 2 * len(plan.blocks)
+    assert diag.iterations > 3 and sizes == [plan.spts.size] * 2
     sizes.clear()
     check_ball_invariance(p, None, 10.0, qc, samples=4, seed=0)
-    assert len(sizes) == 2 * len(plan.blocks)
+    assert sizes == [plan.spts.size] * 2
+
+    # f and h without a staged form are called in full, each once per
+    # application, also on the 8 000 panels of the manufactured problem
+    calls = {"f": 0, "h": 0}
+
+    def count_calls(name, g):
+        def fn(t, x, y, z, w):
+            calls[name] += 1
+            return g(t, x, y, z, w)
+        return rhs(fn, name)
+
+    m = manufactured_problem()
+    p = dataclasses.replace(m, f=count_calls("f", m.f), h=count_calls("h", m.h))
+    qc = QuadratureConfig(horizon=40.0, mesh_spacing=0.005)
+    plan = OperatorPlan.build(p, qc)
+    assert plan.boundaries.size - 1 == 8000
+    s = initial_pair(p, qc)
+    for n in (1, 2, 3):
+        apply_T(p, s, qc, plan)
+        assert calls == {"f": n, "h": n}
 
 
 def test_plan_shares_one_mesh_plan_when_both_schedules_agree():
@@ -820,18 +806,13 @@ def _first_bad_time(plan, start):
     return flat[np.flatnonzero(flat > start)[0]]
 
 
-def test_rhs_errors_keep_their_precedence_across_blocks(monkeypatch):
-    import impulsebvp.operator as operator_module
-    from impulsebvp.operator import OperatorPlan, _blocks
-    monkeypatch.setattr(operator_module, "BLOCK_PANELS", 40)
+def test_rhs_errors_keep_their_precedence_across_blocks():
+    from impulsebvp.operator import OperatorPlan
     qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
-    # f fails only in a late block, h already in the first one
+    # f fails only near the horizon, h already near the start: f still comes first
     p = make_problem(f=_nan_past(9.0, "f"), h=_nan_past(1.05, "h"),
                      boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.5, 4.0))
     plan = OperatorPlan.build(p, qc)
-    blocks = list(_blocks(plan.boundaries.size - 1))
-    assert len(blocks) > 2
-    assert plan.boundaries[blocks[0][1]] > 1.05 and plan.boundaries[blocks[-1][0]] < 9.0
     s = initial_pair(p, qc)
     with pytest.raises(EvaluationError) as exc:
         apply_T(p, s, qc, plan)
@@ -857,11 +838,10 @@ def _shift_p(p, a, b):
 
 
 def test_rhs_writing_into_t_leaves_the_plan_unchanged():
-    from impulsebvp.operator import BLOCK_PANELS, OperatorPlan
+    from impulsebvp.operator import OperatorPlan
     qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
     p = make_problem(f=rhs(_scale_t), boundary=(1.0, 0.0, 0.5, 0.0), u_points=(1.0, 2.0))
     plan = OperatorPlan.build(p, qc)
-    assert plan.boundaries.size - 1 <= BLOCK_PANELS  # one block: t is a view of spts
     spts = plan.spts.copy()
     s = initial_pair(p, qc)
     first, _ = apply_T(p, s, qc, plan)

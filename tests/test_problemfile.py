@@ -193,10 +193,9 @@ def test_staged_rhs_give_the_bits_of_their_unstaged_form():
         assert callable(fn.at), name
         g = RhsFunction(fn, name=name)
         plan = OperatorPlan.build(dataclasses.replace(pend, f=g, h=g), qc)
-        assert len(plan.blocks) > 1
         # random times, then the plan's Gauss points with its staged closures
-        cases = [(rng.uniform(1.0, 40.0, 1000), None, None)]
-        cases += [(plan.spts[:, a:b].ravel(), f, h) for a, b, f, h in plan.blocks]
+        cases = [(rng.uniform(1.0, 40.0, 1000), None, None),
+                 (plan.spts.ravel(), plan.f, plan.h)]
         for t, f, h in cases:
             x, y, z, w = (rng.uniform(0.5, 3.0, t.size) for _ in range(4))
             want = old(t, x, y, z, w)
