@@ -166,16 +166,21 @@ def _side_rows(pair):
             *_eval_on_slots(pair.u, mesh), *_eval_on_slots(pair.v, mesh)]
 
 
-# per-row templates by side label; the CSV rows are what csv.writer makes of
-# (repr(t), side, repr(u), ...), and gnuplot breaks the .dat polyline at the
-# blank line before a '+' row
-_CSV_ROW = {s: f"%r,{s},%r,%r,%r,%r\r\n" for s in ("", "-", "+")}
-_DAT_ROW = {s: ("\n" if s == "+" else "") + "%.17g %.17g %.17g %.17g %.17g\n"
+# per-row templates by side label, filled with repr() of each value: the CSV
+# rows are what csv.writer makes of (repr(t), side, repr(u), ...), the .dat
+# rows carry the same number text, and gnuplot breaks the .dat polyline at
+# the blank line before a '+' row
+_CSV_ROW = {s: f"%s,{s},%s,%s,%s,%s\r\n" for s in ("", "-", "+")}
+_DAT_ROW = {s: ("\n" if s == "+" else "") + "%s %s %s %s %s\n"
             for s in ("", "-", "+")}
-_BLOCK_ROWS = 2048  # rows formatted per '%': bounds the text held at once
+# rows formatted per '%': bounds the strings held at once, which at 2 048
+# rows raised the benchmark's peak RSS
+_BLOCK_ROWS = 256
 
 
 def _write_solution(out, pair, gnuplot_script=False):
+    """solution.csv and solution.dat, each number converted once: its
+    shortest round-trip text, the same in both files."""
     cols = _side_rows(pair)
     side = cols.pop(1).tolist()
     data = np.column_stack(cols)  # rows (t, u, u', v, v')
@@ -185,9 +190,9 @@ def _write_solution(out, pair, gnuplot_script=False):
         fd.write("# t u u_deriv v v_deriv\n")
         for a in range(0, len(side), _BLOCK_ROWS):
             sides = side[a:a + _BLOCK_ROWS]
-            vals = tuple(data[a:a + _BLOCK_ROWS].ravel().tolist())
-            fc.write("".join([_CSV_ROW[s] for s in sides]) % vals)
-            fd.write("".join([_DAT_ROW[s] for s in sides]) % vals)
+            text = tuple(map(repr, data[a:a + _BLOCK_ROWS].ravel().tolist()))
+            fc.write("".join([_CSV_ROW[s] for s in sides]) % text)
+            fd.write("".join([_DAT_ROW[s] for s in sides]) % text)
     if gnuplot_script:
         with open(out / "solution.gp", "w") as fh:
             fh.write('set xlabel "t"\n'

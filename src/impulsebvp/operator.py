@@ -31,8 +31,10 @@ boundaries, Gauss points and weights, per panel the grid interval it
 lies in and the cubic Hermite weights at its Gauss points (once, for
 both components), per mesh and panel the two slots whose Hermite data
 the panel interpolates (once, for a shared mesh), the slot bookkeeping
-of the assembly, and f and h staged at its Gauss points
-(``RhsFunction.at``).
+of the assembly, f and h staged at its Gauss points
+(``RhsFunction.at``), and what the tail accounting reads: the panel
+ranges of the horizon's last two quarters and whether each schedule is
+finite and inside the horizon.
 ``solve`` and the ball-invariance audit build one plan and pass it to
 every :func:`apply_T` call; without a plan, ``apply_T`` builds one for the
 call.  The cubic Hermite kernel itself lives in :mod:`fnspace`
@@ -218,35 +220,49 @@ def _geometric_tail(chunks):
     return last * r / (1.0 - r)
 
 
-def _integral_tail(q, tail, moments, boundaries, in_ball):
+def _quarter_cuts(mid, t0, horizon):
+    """(i2, i3): of the panels with ascending midpoints ``mid``, those whose
+    midpoints lie in the third and the last quarter of [t0, horizon] are
+    i2:i3 and i3:."""
+    q2 = t0 + 0.50 * (horizon - t0)
+    q3 = t0 + 0.75 * (horizon - t0)
+    return tuple(int(i) for i in np.searchsorted(mid, (q2, q3)))
+
+
+def _integral_tail(q, tail, moments, cuts, in_ball):
     """(estimate, is_bound, warn) for the integral tail past the horizon.
 
     ``tail`` is the problem's closed-form tail (rho, t) -> bound, or None;
     ``in_ball`` says whether the iterate lies in the ``bound_rho``-ball, the
-    only place where that tail bounds anything."""
-    horizon = q.horizon
+    only place where that tail bounds anything.  ``cuts`` are the plan's
+    ``_quarter_cuts``."""
     if tail is not None:
-        return float(tail(q.bound_rho, horizon)), in_ball, False
+        return float(tail(q.bound_rho, q.horizon)), in_ball, False
     # decay heuristic on |panel mass| over the last two quarters of the range
-    t0 = boundaries[0]
-    mids = 0.5 * (boundaries[1:] + boundaries[:-1])
+    i2, i3 = cuts
     absmass = np.abs(moments)
-    q3 = t0 + 0.75 * (horizon - t0)
-    q2 = t0 + 0.50 * (horizon - t0)
-    last = float(absmass[mids >= q3].sum())
-    prev = float(absmass[(mids >= q2) & (mids < q3)].sum())
+    last = float(absmass[i3:].sum())
+    prev = float(absmass[i2:i3].sum())
     est = _geometric_tail((prev, last))
     return est, False, bool(est > q.abs_tol)
 
 
-def _impulse_tail(q, schedule, tail0, tail1, c_abs, in_ball):
+def _finite_inside(schedule, horizon):
+    """Whether the schedule is a finite list of points all before the
+    horizon, so that its impulse sums discard nothing."""
+    if schedule.points is None:
+        return False
+    pts = np.asarray(schedule.points, dtype=float)
+    return bool(pts.size == 0 or pts.max() < horizon)
+
+
+def _impulse_tail(q, finite_inside, tail0, tail1, c_abs, in_ball):
     """(estimate, is_bound) for the impulse sums cut at the horizon;
+    ``finite_inside`` is the schedule's ``_finite_inside``, and
     ``tail0``/``tail1`` are the problem's sequence tails (rho, K) -> bound
     of the value and derivative jumps, or None."""
-    if schedule.points is not None:
-        pts = np.asarray(schedule.points, dtype=float)
-        if pts.size == 0 or pts.max() < q.horizon:
-            return 0.0, True  # finite schedule fully inside: nothing discarded
+    if finite_inside:
+        return 0.0, True  # nothing discarded
     if tail0 is not None and tail1 is not None:
         K = c_abs[0].size
         return (float(tail0(q.bound_rho, K))
@@ -350,7 +366,10 @@ class OperatorPlan:
     mesh's doubled nodes).  Both share one :class:`_Intervals`, and one
     mesh shared by both components has one ``_MeshPlan`` (``v is u``).
     ``f`` and ``h`` are the problem's right-hand sides staged at the Gauss
-    points, ``spts.ravel()`` (``RhsFunction.at``).
+    points, ``spts.ravel()`` (``RhsFunction.at``).  The tail accounting
+    reads two things staged here: ``tail_cuts``, the ``_quarter_cuts`` of
+    the panels, and ``finite_inside``, per component whether its schedule
+    is finite and inside the horizon (``_finite_inside``).
     """
 
     problem: ImpulsiveCoupledBVP
@@ -362,6 +381,8 @@ class OperatorPlan:
     v: _MeshPlan
     f: Callable
     h: Callable
+    tail_cuts: tuple
+    finite_inside: tuple
 
     @staticmethod
     def build(p: ImpulsiveCoupledBVP, q: QuadratureConfig) -> "OperatorPlan":
@@ -375,8 +396,12 @@ class OperatorPlan:
         u = _MeshPlan.build(u_mesh, intervals)
         v = u if v_mesh is u_mesh else _MeshPlan.build(v_mesh, intervals)
         t = spts.ravel()  # a view: the staged factors see the plan's points
-        return OperatorPlan(problem=p, config=q, boundaries=boundaries, spts=spts,
-                            wts=wts, u=u, v=v, f=p.f.at(t), h=p.h.at(t))
+        return OperatorPlan(
+            problem=p, config=q, boundaries=boundaries, spts=spts, wts=wts, u=u, v=v,
+            f=p.f.at(t), h=p.h.at(t),
+            tail_cuts=_quarter_cuts(intervals.mid, boundaries[0], q.horizon),
+            finite_inside=tuple(_finite_inside(x, q.horizon)
+                                for x in (p.u_schedule, p.v_schedule)))
 
     def check(self, p, q, s: SolutionPair):
         """Raise ValueError unless the plan fits (p, q) and s's meshes."""
@@ -508,11 +533,12 @@ def apply_T(p: ImpulsiveCoupledBVP, s: SolutionPair, q: QuadratureConfig,
     # the problem's Caratheodory tails at bound_rho are the only tail bounds
     b = p.bounds if q.bound_rho is not None else None
     in_ball = b is not None and norm_X(s) <= q.bound_rho
-    tf, bf, wf = _integral_tail(q, b and b.tail_integral_f, m0f, plan.boundaries, in_ball)
-    th, bh, wh = _integral_tail(q, b and b.tail_integral_h, m0h, plan.boundaries, in_ball)
-    iu, ibu = _impulse_tail(q, p.u_schedule, b and b.seq_tail_phi, b and b.seq_tail_psi,
+    tf, bf, wf = _integral_tail(q, b and b.tail_integral_f, m0f, plan.tail_cuts, in_ball)
+    th, bh, wh = _integral_tail(q, b and b.tail_integral_h, m0h, plan.tail_cuts, in_ball)
+    inside_u, inside_v = plan.finite_inside
+    iu, ibu = _impulse_tail(q, inside_u, b and b.seq_tail_phi, b and b.seq_tail_psi,
                             (np.abs(c0u), np.abs(c1u)), in_ball)
-    iv, ibv = _impulse_tail(q, p.v_schedule, b and b.seq_tail_phij, b and b.seq_tail_theta,
+    iv, ibv = _impulse_tail(q, inside_v, b and b.seq_tail_phij, b and b.seq_tail_theta,
                             (np.abs(c0v), np.abs(c1v)), in_ball)
     report = TruncationReport(
         integral_tail_estimate=max(tf, th),

@@ -496,7 +496,7 @@ def _write_solution_scalar(out, pair):
         for r in rows:
             if r[1] == "+":
                 fh.write("\n")
-            fh.write(f"{r[0]:.17g} {r[2]:.17g} {r[3]:.17g} {r[4]:.17g} {r[5]:.17g}\n")
+            fh.write(f"{r[0]!r} {r[2]!r} {r[3]!r} {r[4]!r} {r[5]!r}\n")
 
 
 def _writer_case(name):
@@ -532,6 +532,46 @@ def test_solution_writer_matches_scalar_reference(name, tmp_path):
         assert (new / fname).read_bytes() == (ref / fname).read_bytes()
 
 
+def _written_solution(name, out):
+    """The pair of a ``_writer_case`` and the rows of the files
+    ``_write_solution`` makes of it: csv rows without the header, .dat
+    lines without the comment."""
+    from impulsebvp.cli import _write_solution
+    from impulsebvp.solver import SolverConfig, solve
+    p, qc = _writer_case(name)
+    pair, _ = solve(p, SolverConfig(max_iter=5), qc)
+    _write_solution(out, pair)
+    with open(out / "solution.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    lines = (out / "solution.dat").read_text().split("\n")[1:-1]
+    return pair, rows, lines
+
+
+@pytest.mark.parametrize("name", ["manufactured", "pendulum", "mixed"])
+def test_solution_dat_rows_hold_the_csv_number_strings(name, tmp_path):
+    _, rows, lines = _written_solution(name, tmp_path)
+    fields = []
+    for r in rows:
+        if r[1] == "+":
+            assert lines.pop(0) == ""
+        fields.append(lines.pop(0).split(" "))
+    assert lines == []
+    assert fields == [[r[0], *r[2:]] for r in rows]
+
+
+@pytest.mark.parametrize("name", ["manufactured", "pendulum", "mixed"])
+def test_solution_numbers_read_back_as_the_slot_values(name, tmp_path):
+    from impulsebvp.cli import _side_rows
+    pair, rows, lines = _written_solution(name, tmp_path)
+    cols = _side_rows(pair)
+    del cols[1]
+    want = np.column_stack(cols)
+    from_dat = np.array([[float(x) for x in ln.split()] for ln in lines if ln])
+    from_csv = np.array([[float(x) for x in (r[0], *r[2:])] for r in rows])
+    assert from_dat.tobytes() == want.tobytes()
+    assert from_csv.tobytes() == want.tobytes()
+
+
 def _flaky_rhs(fail_from=3, above=2.0037):
     """Registry factory: an f that returns NaN at every point past ``above``
     from its ``fail_from``-th call on quadrature points on.  The 200-point
@@ -558,11 +598,10 @@ def test_rhs_failure_names_iteration_and_first_bad_point(tmp_path, monkeypatch, 
     _check_rhs_failure(tmp_path, monkeypatch, capsys)
 
 
-def test_rhs_failure_in_blocks_names_iteration_and_first_bad_point(tmp_path, monkeypatch,
-                                                                   capsys):
-    # the 50 panels (400 points) run in one pass, so f is called once per
-    # application and its 3rd call opens iteration 3
-    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3)
+def test_rhs_failure_in_a_later_iteration_names_it_and_the_first_bad_point(
+        tmp_path, monkeypatch, capsys):
+    # f is called once per application, so its 5th call opens iteration 5
+    _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=5)
 
 
 def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
@@ -582,7 +621,7 @@ def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     code = _run_main(["solve", str(prob), "--out-dir", str(tmp_path / "o"), *flags])
     err = capsys.readouterr().err
     assert code == 1
-    assert "iteration 3" in err
+    assert f"iteration {fail_from}" in err
 
     # reference: the same panels panel-major, whose flat order is time order
     p = load_problem(doc)
@@ -598,8 +637,8 @@ def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     with pytest.raises(EvaluationError) as exc:
         solve(p, SolverConfig(tol=1e-30), qc)
     assert exc.value.location["s"] == want
-    assert exc.value.location["iteration"] == 3
-    assert str(exc.value).endswith(" in iteration 3")
+    assert exc.value.location["iteration"] == fail_from
+    assert str(exc.value).endswith(f" in iteration {fail_from}")
 
 
 def test_manifest_records_the_environment(zero_file, tmp_path):

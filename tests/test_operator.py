@@ -293,6 +293,75 @@ def test_integral_tail_bound_fn_is_used_verbatim():
     assert not rep.warn_integral_tail
 
 
+def _unstaged_tail_report(q, plan, m0, c):
+    """The truncation report of the tail heuristics, with the quarter masks
+    and the schedule test recomputed from the boundaries and the schedules;
+    ``m0`` are f's and h's panel masses, ``c`` u's and v's jumps (c0, c1)."""
+    from impulsebvp.operator import TruncationReport, _geometric_tail
+    boundaries = plan.boundaries
+    t0 = boundaries[0]
+    mids = 0.5 * (boundaries[1:] + boundaries[:-1])
+    q3 = t0 + 0.75 * (q.horizon - t0)
+    q2 = t0 + 0.50 * (q.horizon - t0)
+    tails = []
+    for m in m0:
+        absmass = np.abs(m)
+        last = float(absmass[mids >= q3].sum())
+        prev = float(absmass[(mids >= q2) & (mids < q3)].sum())
+        tails.append(_geometric_tail((prev, last)))
+    pulses = []
+    for schedule, (c0, c1) in zip((plan.problem.u_schedule, plan.problem.v_schedule), c):
+        if schedule.points is not None:
+            pts = np.asarray(schedule.points, dtype=float)
+            if pts.size == 0 or pts.max() < q.horizon:
+                pulses.append(0.0)
+                continue
+        est = 0.0
+        for x, weight in zip((np.abs(c0), np.abs(c1)), (1.0, 2.0)):
+            if x.size >= 2:
+                est += weight * _geometric_tail((float(x[-2]), float(x[-1])))
+            elif x.size == 1:
+                est += weight * float(x[-1])
+        pulses.append(est)
+    return TruncationReport(
+        integral_tail_estimate=max(tails), impulse_tail_estimate=max(pulses),
+        K_used=max(plan.u.mesh.impulse_times.size, plan.v.mesh.impulse_times.size),
+        tails_are_bounds=False, warn_integral_tail=any(x > q.abs_tol for x in tails))
+
+
+def test_staged_tail_cuts_give_the_report_of_the_quarter_masks(monkeypatch):
+    from impulsebvp import operator
+    from impulsebvp.manufactured import manufactured_problem
+    from impulsebvp.operator import OperatorPlan
+    from impulsebvp.pendulum import PendulumParams, build_pendulum_problem
+    moments, parts = [], []
+
+    def record_moments(*args):
+        moments.append(_moments(*args))
+        return moments[-1]
+
+    def record_parts(*args):
+        parts.append(_component_apply(*args))
+        return parts[-1]
+
+    _moments, _component_apply = operator._moments, operator._component_apply
+    monkeypatch.setattr(operator, "_moments", record_moments)
+    monkeypatch.setattr(operator, "_component_apply", record_parts)
+    cases = ((_dense_impulse_problem(1), 0.01),
+             (build_pendulum_problem(PendulumParams()), 0.01),
+             (manufactured_problem(), 0.02))
+    for p, spacing in cases:
+        qc = QuadratureConfig(horizon=40.0, mesh_spacing=spacing)
+        plan = OperatorPlan.build(p, qc)
+        s, _ = apply_T(p, initial_pair(p, qc), qc, plan)
+        moments.clear()
+        parts.clear()
+        _, rep = apply_T(p, s, qc, plan)
+        want = _unstaged_tail_report(qc, plan, [m0 for m0, _ in moments],
+                                     [(c0, c1) for _, c0, c1 in parts])
+        assert rep == want
+
+
 def test_impulse_sums_skips_points_outside_working_domain():
     from impulsebvp.fnspace import build_mesh
     mesh = build_mesh(1.0, 10.0, [2.0], spacing=0.1)
@@ -806,7 +875,7 @@ def _first_bad_time(plan, start):
     return flat[np.flatnonzero(flat > start)[0]]
 
 
-def test_rhs_errors_keep_their_precedence_across_blocks():
+def test_rhs_errors_keep_their_precedence():
     from impulsebvp.operator import OperatorPlan
     qc = QuadratureConfig(horizon=10.0, mesh_spacing=0.1)
     # f fails only near the horizon, h already near the start: f still comes first
