@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .audit import run_audit
-from .fnspace import (_eval_on_slots, _union_mesh, difference_norm, norm_X,
+from .fnspace import (_eval_on_slots, _mesh_on_grid, difference_norm, norm_X,
                       slot_sides)
 from .model import validate_problem
 from .operator import QuadratureConfig
@@ -155,13 +155,13 @@ def _write_manifest(out, args, qc=None, sc=None):
 
 
 def _side_rows(pair):
-    """Columns (t, side, u, u', v, v') over the slots of the pair's union
-    mesh: the union grid (the one grid of ``problem_meshes``), ascending,
+    """Columns (t, side, u, u', v, v') over the pair's one grid, ascending,
     with a '-' row then a '+' row at every impulse time of either component.
 
     A component that jumps at a '+' row's time reports its right-slot
     values there; every other row is the left-continuous evaluation."""
-    mesh = _union_mesh(pair.u.mesh, pair.v.mesh)
+    mu, mv = pair.u.mesh, pair.v.mesh
+    mesh = _mesh_on_grid(mu.grid, np.union1d(mu.doubled_nodes(), mv.doubled_nodes()))
     return [mesh.nodes, slot_sides(mesh),
             *_eval_on_slots(pair.u, mesh), *_eval_on_slots(pair.v, mesh)]
 

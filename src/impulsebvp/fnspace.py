@@ -115,29 +115,33 @@ def build_mesh(t0, horizon, impulse_times=(), spacing=0.01):
     if pts.size != np.unique(pts).size:
         raise ValueError("impulse times must be distinct")
 
-    # piece j spans [bounds[j], bounds[j+1]] with n[j] + 1 slots, the
-    # np.linspace(a, b, n + 1) points with both ends exact
+    # piece j spans grid[first[j]:first[j] + n[j] + 1], the np.linspace(a, b,
+    # n + 1) points with both ends exact: it starts at its own a and ends at
+    # the next piece's, and the last one at the appended horizon
     bounds = np.concatenate(([t0], pts, [horizon]))
     a, b = bounds[:-1], bounds[1:]
     n = np.maximum(1, np.ceil((b - a) / spacing - 1e-12).astype(int))
-    first = np.concatenate(([0], np.cumsum(n + 1)[:-1]))
-    k = np.arange(first[-1] + n[-1] + 1) - np.repeat(first, n + 1)
-    nodes = k * np.repeat((b - a) / n, n + 1) + np.repeat(a, n + 1)
-    nodes[first], nodes[first + n] = a, b
-    # a piece after an impulse starts with that impulse's right slot; the
-    # grid keeps the left slot, which ends the piece before
-    keep = np.ones(nodes.size, dtype=bool)
-    keep[first[1:]] = False
+    first = np.concatenate(([0], np.cumsum(n)[:-1]))
+    k = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
+    grid = np.append(k * np.repeat((b - a) / n, n) + np.repeat(a, n), horizon)
+    return _mesh_on_grid(grid, first[1:])
+
+
+def _mesh_on_grid(grid, knots) -> Mesh:
+    """The mesh on ``grid`` doubled at the grid indices ``knots`` (ascending):
+    the one place a :class:`Mesh` is laid out."""
+    times = grid[knots]
+    hi = knots + np.arange(1, knots.size + 1)  # the right slots
+    keep = np.ones(grid.size + knots.size, dtype=bool)
+    keep[hi] = False
     left_slot = np.flatnonzero(keep)
     right_slot = left_slot.copy()
-    right_slot[first[1:] - np.arange(1, pts.size + 1)] += 1
-    return Mesh(
-        nodes=nodes,
-        grid=nodes[keep],
-        left_slot=left_slot,
-        right_slot=right_slot,
-        impulse_times=pts,
-    )
+    right_slot[knots] = hi
+    nodes = np.empty(keep.size)
+    nodes[left_slot] = grid
+    nodes[hi] = times
+    return Mesh(nodes=nodes, grid=grid, left_slot=left_slot, right_slot=right_slot,
+                impulse_times=times)
 
 
 def _hermite_weights(u, h):
@@ -271,17 +275,16 @@ class PiecewiseC1Function:
 
 @dataclass(frozen=True)
 class SolutionPair:
-    """The pair (u, v).  The components share t0 and horizon; on the meshes
-    of ``operator.problem_meshes`` they share the grid too, and each is
-    doubled only at its own impulse times."""
+    """The pair (u, v) on one grid, each component doubled only at its own
+    impulse times: the meshes of ``operator.problem_meshes``."""
 
     u: PiecewiseC1Function
     v: PiecewiseC1Function
 
     def __post_init__(self):
-        if (self.u.mesh.t0 != self.v.mesh.t0
-                or self.u.mesh.horizon != self.v.mesh.horizon):
-            raise ValueError("u and v must share t0 and horizon")
+        gu, gv = self.u.mesh.grid, self.v.mesh.grid
+        if not (gu is gv or np.array_equal(gu, gv)):
+            raise ValueError("u and v must share one grid; build them on problem_meshes()")
 
 
 def norm_weighted_sup(x: PiecewiseC1Function) -> float:
@@ -348,58 +351,6 @@ def _eval_on_slots(fn: PiecewiseC1Function, mesh: Mesh):
     vals[hi] = fn.values[fhi]
     ders[hi] = fn.derivs[fhi]
     return vals, ders
-
-
-def _node_mask(grid, times):
-    """The mask of ``grid`` (ascending) that marks ``times``, which are
-    nodes of it."""
-    mask = np.zeros(grid.size, dtype=bool)
-    mask[np.searchsorted(grid, times)] = True
-    return mask
-
-
-def _merge_close(points, fixed):
-    """The mask of ascending ``points`` to keep when two points one rounding
-    apart are one point: of such a pair the ``fixed`` one stays, else the
-    left one; two fixed points both stay."""
-    close = np.diff(points) <= np.spacing(points[1:])
-    return fixed | ~(np.append(False, close) | np.append(close & fixed[1:], False))
-
-
-def _union_grid(a: Mesh, b: Mesh):
-    """(grid, doubled): the union of two meshes' grids and the mask of its
-    nodes that are an impulse time of either.  Two nodes one rounding
-    apart are one node: of such a pair the impulse time is kept (and the
-    domain end), else the left one; two impulse times both stay.  The two
-    meshes of ``operator.problem_meshes`` have one grid, which this returns
-    as it is."""
-    grid = np.union1d(a.grid, b.grid)
-    doubled = _node_mask(grid, np.union1d(a.impulse_times, b.impulse_times))
-    fixed = doubled.copy()
-    fixed[[0, -1]] = True
-    keep = _merge_close(grid, fixed)
-    return grid[keep], doubled[keep]
-
-
-def _mesh_on_grid(grid, knots) -> Mesh:
-    """The mesh on ``grid`` doubled at the grid indices ``knots`` (ascending)."""
-    hi = knots + np.arange(1, knots.size + 1)  # the right slots
-    keep = np.ones(grid.size + knots.size, dtype=bool)
-    keep[hi] = False
-    left_slot = np.flatnonzero(keep)
-    right_slot = left_slot.copy()
-    right_slot[knots] = hi
-    nodes = np.empty(keep.size)
-    nodes[left_slot] = grid
-    nodes[hi] = grid[knots]
-    return Mesh(nodes=nodes, grid=grid, left_slot=left_slot, right_slot=right_slot,
-                impulse_times=grid[knots])
-
-
-def _union_mesh(a: Mesh, b: Mesh) -> Mesh:
-    """The mesh on :func:`_union_grid`, doubled at either one's impulse times."""
-    grid, doubled = _union_grid(a, b)
-    return _mesh_on_grid(grid, np.flatnonzero(doubled))
 
 
 def difference_norm(sa: SolutionPair, sb: SolutionPair) -> float:

@@ -86,8 +86,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fnspace import (Mesh, PiecewiseC1Function, SolutionPair, _hermite_combine,
-                      _hermite_weights, _merge_close, _mesh_on_grid, _node_mask,
-                      _require_positive, build_mesh, norm_X)
+                      _hermite_weights, _mesh_on_grid, _require_positive, build_mesh,
+                      norm_X)
 from .kernel import green
 from .model import ImpulsiveCoupledBVP, _first_nonfinite
 
@@ -180,10 +180,11 @@ def problem_meshes(p: ImpulsiveCoupledBVP, q: QuadratureConfig):
     doubled only at its own component's.  When both schedules give the
     same points there, both are one mesh, returned twice."""
     pu, pv = (x.points_between(p.t0, q.horizon) for x in (p.u_schedule, p.v_schedule))
+    if np.array_equal(pu, pv):
+        u = build_mesh(p.t0, q.horizon, pu, q.mesh_spacing)
+        return u, u
     grid = build_mesh(p.t0, q.horizon, np.union1d(pu, pv), q.mesh_spacing).grid
-    u = _mesh_on_grid(grid, np.searchsorted(grid, pu))
-    v = u if np.array_equal(pu, pv) else _mesh_on_grid(grid, np.searchsorted(grid, pv))
-    return u, v
+    return tuple(_mesh_on_grid(grid, np.searchsorted(grid, x)) for x in (pu, pv))
 
 
 def _gauss_panels(breaks):
@@ -193,6 +194,22 @@ def _gauss_panels(breaks):
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * np.diff(breaks)
     return mid + half * _GAUSS_X[:, None], half * _GAUSS_W[:, None]
+
+
+def _node_mask(grid, times):
+    """The mask of ``grid`` (ascending) that marks ``times``, which are
+    nodes of it."""
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[np.searchsorted(grid, times)] = True
+    return mask
+
+
+def _merge_close(points, fixed):
+    """The mask of ascending ``points`` to keep when two points one rounding
+    apart are one point: of such a pair the ``fixed`` one stays, else the
+    left one; two fixed points both stay."""
+    close = np.diff(points) <= np.spacing(points[1:])
+    return fixed | ~(np.append(False, close) | np.append(close & fixed[1:], False))
 
 
 def _refined_boundaries(grid, hard):

@@ -22,8 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .fnspace import (SolutionPair, _require_positive, _union_grid, constant_fn, norm_X,
-                      slot_sides)
+from .fnspace import SolutionPair, _require_positive, constant_fn, norm_X, slot_sides
 from .model import ImpulsiveCoupledBVP
 from .operator import (EvaluationError, OperatorPlan, QuadratureConfig,
                        TruncationReport, _gauss_panels, apply_T, problem_meshes)
@@ -217,9 +216,9 @@ def solve(p: ImpulsiveCoupledBVP, sc: SolverConfig, qc: QuadratureConfig):
 
 def _plain_rhs_integrals(p: ImpulsiveCoupledBVP, s: SolutionPair):
     """(integral_{t0}^{H} f ds, integral_{t0}^{H} h ds) with the arguments
-    (s, u, v, u', v') on the union of both grids (``fnspace._union_grid``),
-    from one evaluation of u, v, u', v' at the Gauss points."""
-    spts, wts = _gauss_panels(_union_grid(s.u.mesh, s.v.mesh)[0])
+    (s, u, v, u', v') on the panels of the pair's one grid, from one
+    evaluation of u, v, u', v' at the Gauss points."""
+    spts, wts = _gauss_panels(s.u.mesh.grid)
     w = wts.T.ravel()
     args = _rhs_args(s, spts.T.ravel())  # time order
     return float((w * p.f(*args)).sum()), float((w * p.h(*args)).sum())
@@ -271,9 +270,11 @@ def _jump_residuals(x, m0, m1):
 def verify_residuals(p: ImpulsiveCoupledBVP, s: SolutionPair) -> ResidualReport:
     """Check a candidate pair against the equations, jumps, and boundary data.
 
-    Uses only the problem and the pair; never solver state.  The left
-    boundary anchors are |x(t0) - (A + B t0 - t0 (sum of derivative jumps
-    + integral of the rhs))|, which is exactly |x(0) - A| when t0 = 0.
+    Uses only the problem and the pair; never solver state.  The pair lies
+    on one grid (``SolutionPair`` requires it), whose intervals are the
+    panels of the rhs integrals.  The left boundary anchors are
+    |x(t0) - (A + B t0 - t0 (sum of derivative jumps + integral of the
+    rhs))|, which is exactly |x(0) - A| when t0 = 0.
     At t0 = 0 the integrals, weighted by zero, are not evaluated, so a rhs
     that is non-finite only at their Gauss points does not turn those
     anchors into NaN; the ODE residual still evaluates f and h at every

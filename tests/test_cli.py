@@ -459,12 +459,11 @@ MIXED_DOC = {
 
 
 def _side_rows_scalar(pair):
-    """Reference: rows (t, side, u, u', v, v') over the union grid, one
+    """Reference: rows (t, side, u, u', v, v') over the pair's one grid, one
     scalar evaluation per row and component."""
-    from impulsebvp.fnspace import _union_grid
     u, v = pair.u, pair.v
-    times, doubled = _union_grid(u.mesh, v.mesh)
-    jumps = times[doubled]
+    times = u.mesh.grid
+    jumps = np.union1d(u.mesh.impulse_times, v.mesh.impulse_times)
 
     def at(fn, t, side):
         if side == "+" and np.isin(t, fn.mesh.impulse_times):
@@ -605,7 +604,6 @@ def test_rhs_failure_in_a_later_iteration_names_it_and_the_first_bad_point(
 
 
 def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
-    from impulsebvp.fnspace import _union_grid
     from impulsebvp.operator import (EvaluationError, QuadratureConfig, _gauss_panels,
                                      _refined_boundaries, problem_meshes)
     from impulsebvp.problemfile import RHS_REGISTRY, load_problem
@@ -626,8 +624,8 @@ def _check_rhs_failure(tmp_path, monkeypatch, capsys, fail_from=3):
     # reference: the same panels panel-major, whose flat order is time order
     p = load_problem(doc)
     qc = QuadratureConfig(horizon=5.0, mesh_spacing=0.1)
-    grid, doubled = _union_grid(*problem_meshes(p, qc))
-    boundaries = _refined_boundaries(grid, grid[doubled])
+    mu, mv = problem_meshes(p, qc)
+    boundaries = _refined_boundaries(mu.grid, np.union1d(mu.impulse_times, mv.impulse_times))
     flat = _gauss_panels(boundaries)[0].T.ravel()
     want = flat[np.flatnonzero(flat > 2.0037)[0]]
     # the panel holding 2.0037 has good points before the first bad one, so

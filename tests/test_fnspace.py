@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsebvp.fnspace import (Mesh, PiecewiseC1Function, _eval_on_slots, _union_grid,
-                                _union_mesh, apply_jump, build_mesh, constant_fn,
-                                difference_norm, fn_lincomb, norm_X, norm_deriv_sup,
-                                norm_weighted_sup, pair_lincomb, SolutionPair)
+from impulsebvp.fnspace import (PiecewiseC1Function, _eval_on_slots, apply_jump,
+                                build_mesh, constant_fn, difference_norm, fn_lincomb,
+                                norm_X, norm_deriv_sup, norm_weighted_sup, pair_lincomb,
+                                SolutionPair)
 
 
 def from_callable(mesh, fn, dfn, tail=0.0):
@@ -197,6 +197,14 @@ def test_lincomb_requires_matching_layout():
         fn_lincomb(1.0, constant_fn(m1), 1.0, constant_fn(m2))
 
 
+def test_solution_pair_requires_one_grid():
+    # u jumps at 1.3 and v never: two meshes whose grids differ there
+    u = constant_fn(build_mesh(0.0, 5.0, [1.3], 0.25))
+    v = constant_fn(build_mesh(0.0, 5.0, [], 0.25))
+    with pytest.raises(ValueError, match="problem_meshes"):
+        SolutionPair(u=u, v=v)
+
+
 def test_difference_norm_restricts_to_common_domain():
     m_short = build_mesh(0.0, 10.0, [1.0], spacing=0.1)
     m_long = build_mesh(0.0, 20.0, [1.0], spacing=0.1)
@@ -258,6 +266,7 @@ def test_build_mesh_matches_the_node_loop():
         (0.0, 40.0, 0.02 * np.arange(1, 2000), 0.01),     # K = 1999
         (1.0, 10.0, [0.5, 1.0, 3.0, 3.004, 10.0, 12.0], 0.5),
         (0.0, 5.0, [], 0.3),
+        (0.0, 2.0, [1.0, np.nextafter(1.0, 2.0)], 1.0),     # a piece one rounding long
     )
     for t0, horizon, pts, spacing in cases:
         m = build_mesh(t0, horizon, pts, spacing)
@@ -398,39 +407,3 @@ def test_value_and_deriv_is_bitwise_the_two_pass_evaluation():
         with pytest.raises(ValueError, match=message) as got:
             x.value_and_deriv(bad)
         assert str(got.value) == str(ref.value)
-
-
-def _plain_mesh(grid):
-    """A mesh with the given grid and no impulse times."""
-    grid = np.asarray(grid, dtype=float)
-    slots = np.arange(grid.size)
-    return Mesh(nodes=grid, grid=grid, left_slot=slots, right_slot=slots,
-                impulse_times=np.zeros(0))
-
-
-def test_union_grid_merges_nodes_one_rounding_apart():
-    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
-    jump_at_one = build_mesh(0.0, 2.0, [1.0], 1.0)
-    cases = (
-        # plain nodes: the left one stays
-        (_plain_mesh([0.0, 1.0, 2.0]), _plain_mesh([0.0, above, 2.0]), [0.0, 1.0, 2.0], []),
-        # an impulse time stays on either side of a plain node
-        (jump_at_one, _plain_mesh([0.0, below, 2.0]), [0.0, 1.0, 2.0], [1.0]),
-        (jump_at_one, _plain_mesh([0.0, above, 2.0]), [0.0, 1.0, 2.0], [1.0]),
-        (build_mesh(0.0, 2.0, [above], 1.0), _plain_mesh([0.0, 1.0, 2.0]),
-         [0.0, above, 2.0], [above]),
-        # two impulse times both stay
-        (jump_at_one, build_mesh(0.0, 2.0, [above], 1.0), [0.0, 1.0, above, 2.0],
-         [1.0, above]),
-    )
-    for a, b, grid, jumps in cases:
-        for first, second in ((a, b), (b, a)):
-            got, doubled = _union_grid(first, second)
-            assert got.tolist() == grid and got[doubled].tolist() == jumps
-    # the domain ends stay too, next to an impulse time one rounding away
-    last = np.nextafter(2.0, 0.0)
-    got, doubled = _union_grid(build_mesh(0.0, 2.0, [last], 1.0), _plain_mesh([0.0, 2.0]))
-    assert got[-2:].tolist() == [last, 2.0] and got[doubled].tolist() == [last]
-    mesh = _union_mesh(jump_at_one, build_mesh(0.0, 2.0, [above], 1.0))
-    assert mesh.nodes.tolist() == [0.0, 1.0, 1.0, above, above, 2.0]
-    assert mesh.impulse_times.tolist() == [1.0, above]

